@@ -8,7 +8,6 @@ quantitative content at desk scale.
 
 from .chaos import centered_square, hermite, i2_pair_moment
 from .fieldsim import (
-    FactorCache,
     GridField,
     IncrementField,
     factor_1d,
@@ -28,14 +27,14 @@ from .kernel import (
     rho,
 )
 from .qv import QVProcess, WeightFunction, eval_qv, limit_sample, qv_process, weight
-from .sigma import RegimeError, SeriesResult, sigma, sigma_squared_partial
+from .sigma import RegimeError, SeriesResult, sigma, sigma_series, sigma_squared_partial
 
 __all__ = [
     "HurstPair", "Rect", "k_gamma", "cov_point", "rho", "incr_cov",
     "point_rect_cov", "delta_incr_inner",
     "hermite", "centered_square", "i2_pair_moment",
-    "SeriesResult", "RegimeError", "sigma", "sigma_squared_partial",
-    "FactorCache", "IncrementField", "GridField", "factor_1d",
+    "SeriesResult", "RegimeError", "sigma", "sigma_series", "sigma_squared_partial",
+    "IncrementField", "GridField", "factor_1d",
     "sample_increments", "sample_white_increments", "field_from_increments",
     "replication_rng",
     "WeightFunction", "QVProcess", "weight", "qv_process", "eval_qv",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -22,7 +23,8 @@ import numpy as np
 
 from . import fieldsim, mcverify, qv as qvmod
 from .kernel import HurstPair
-from .sigma import RegimeError, sigma, sigma_squared_partial
+from .sigma import RegimeError, sigma_series
+from .sigma import sigma, sigma_squared_partial  # noqa: F401  (perfbench.layers patches these names)
 
 EXIT_OK = 0
 EXIT_TEST_FAILURE = 1
@@ -93,21 +95,13 @@ def _hurst(cfg: dict) -> HurstPair:
 
 def cmd_sigma(cfg: dict) -> int:
     h = _hurst(cfg)
-    tol = float(cfg.get("tol", 1e-10))
     try:
-        val = sigma(h, tol)
-        # re-derive the bracketing cutoff actually used for reporting
-        cutoff = 4
-        while True:
-            res = sigma_squared_partial(h, cutoff)
-            if res.tail_bound <= tol * res.value:
-                break
-            cutoff *= 10
+        res = sigma_series(h, float(cfg.get("tol", 1e-10)))
     except RegimeError as e:
         _note(f"regime error: {e}")
         return EXIT_CONFIG
     _emit({
-        "sigma": val,
+        "sigma": math.sqrt(res.value),
         "sigma_squared": res.value,
         "cutoff": res.cutoff,
         "tail_bound": res.tail_bound,
@@ -115,22 +109,33 @@ def cmd_sigma(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_sample(cfg: dict) -> int:
+def _weight(cfg: dict, default: str) -> qvmod.WeightFunction:
+    try:
+        return qvmod.weight(cfg.get("weight", default))
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
+def _one_sample(cfg: dict):
+    """Increments and nodes of replication 0, the sample that sample and qv write."""
     h = _hurst(cfg)
     _require(cfg, "n", "seed", "out")
     n = int(cfg["n"])
     if n < 1:
         raise ConfigError("n must be a positive integer")
-    method = cfg.get("method", "cholesky")
     stream = fieldsim.replication_rng(int(cfg["seed"]), 0, fieldsim.PURPOSE_SHEET)
-    inc = fieldsim.sample_increments(h, n, stream, method=method)
-    field = fieldsim.field_from_increments(inc)
+    inc = fieldsim.sample_increments(h, n, stream, method=cfg.get("method", "cholesky"))
+    return inc, fieldsim.field_from_increments(inc)
+
+
+def cmd_sample(cfg: dict) -> int:
+    _, field = _one_sample(cfg)
     fmt = cfg.get("format", "csv")
     if fmt == "bin":
         fieldsim.write_field(cfg["out"], field)
     elif fmt == "csv":
         with open(cfg["out"], "w") as fh:
-            fh.write(f"{n},{field.hurst.alpha:.17g},{field.hurst.beta:.17g}\n")
+            fh.write(f"{field.n},{field.hurst.alpha:.17g},{field.hurst.beta:.17g}\n")
             for row in field.values:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     else:
@@ -140,18 +145,8 @@ def cmd_sample(cfg: dict) -> int:
 
 
 def cmd_qv(cfg: dict) -> int:
-    h = _hurst(cfg)
-    _require(cfg, "n", "seed", "out")
-    n = int(cfg["n"])
-    if n < 1:
-        raise ConfigError("n must be a positive integer")
-    try:
-        f = qvmod.weight(cfg.get("weight", "constant_one"))
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    stream = fieldsim.replication_rng(int(cfg["seed"]), 0, fieldsim.PURPOSE_SHEET)
-    inc = fieldsim.sample_increments(h, n, stream, method=cfg.get("method", "cholesky"))
-    field = fieldsim.field_from_increments(inc)
+    f = _weight(cfg, "constant_one")
+    inc, field = _one_sample(cfg)
     proc = qvmod.qv_process(field, inc, f)
     qvmod.write_qv_csv(cfg["out"], proc)
     _note(f"wrote statistic partial sums to {cfg['out']}")
@@ -160,13 +155,17 @@ def cmd_qv(cfg: dict) -> int:
 
 def _two_scale(run, n_small: int, n_large: int):
     """Run a limit check at two grid sizes; slack at n_large is the small-n gap."""
+    gap = lambda r: r.extra.get("sup_diff", r.extra.get("gap", 0.0))
     r_small = run(n_small, 0.0)
-    slack = r_small.extra.get("sup_diff", r_small.extra.get("gap", 0.0))
-    r_large = run(n_large, slack)
-    gap_small = r_small.extra.get("sup_diff", r_small.extra.get("gap"))
-    gap_large = r_large.extra.get("sup_diff", r_large.extra.get("gap"))
-    shrinks = gap_large <= gap_small
-    return r_small, r_large, shrinks
+    r_large = run(n_large, gap(r_small))
+    return r_small, r_large, gap(r_large) <= gap(r_small)
+
+
+def _at_least(what: str, value, least: int) -> int:
+    value = int(value)
+    if value < least:
+        raise ConfigError(f"{what} must be at least {least}, got {value}")
+    return value
 
 
 def cmd_verify(cfg: dict) -> int:
@@ -175,14 +174,19 @@ def cmd_verify(cfg: dict) -> int:
     _require(cfg, "seed")
     seed = int(cfg["seed"])
     m_reps = int(cfg.get("M", 5000))
+    if which in ("var", "ks", "charfn", "stable"):
+        # two replications for a standard error; the KS p-value is asymptotic
+        _at_least(f"--M for --which {which}", m_reps, 100 if which == "ks" else 2)
     reports: list[mcverify.VerifyReport] = []
 
     if which == "mean":
-        n_list = [int(v) for v in cfg.get("n_list", [8, 16, 32, 64, 128])]
+        n_list = [_at_least("--n-list size", v, 1) for v in cfg.get("n_list", [8, 16, 32, 64, 128])]
+        if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+            raise ConfigError("--which mean needs at least 2 strictly increasing --n-list sizes")
         reports.append(mcverify.mean_decay(h, qvmod.weight("square"), (1.0, 1.0), n_list))
     elif which == "var":
-        n_list = [int(v) for v in cfg.get("n_list", [16, 64])]
-        f = qvmod.weight(cfg.get("weight", "identity"))
+        n_list = [_at_least("--n-list size", v, 1) for v in cfg.get("n_list", [16, 64])]
+        f = _weight(cfg, "identity")
         run = lambda n, slack: mcverify.second_moment_limit(h, f, (1.0, 1.0), n, m_reps, seed, slack)
         r_small, r_large, shrinks = _two_scale(run, n_list[0], n_list[-1])
         rel_gap = abs(r_large.estimate - r_large.reference) / abs(r_large.reference)
@@ -191,8 +195,8 @@ def cmd_verify(cfg: dict) -> int:
         r_large.extra["gap_shrinks"] = shrinks
         reports += [r_small, r_large]
     elif which == "ks":
-        n = int(cfg.get("n", 64))
-        f = qvmod.weight(cfg.get("weight", "constant_one"))
+        n = _at_least("--n", cfg.get("n", 64), 1)
+        f = _weight(cfg, "constant_one")
         xs, _ = mcverify.qv_point_samples(h, f, n, m_reps, seed, [(1.0, 1.0)])
         var = mcverify.exact_qv_variance(h, n)
         stat, p = mcverify.ks_normality(xs[:, 0], 0.0, np.sqrt(var))
@@ -205,8 +209,8 @@ def cmd_verify(cfg: dict) -> int:
             extra={"p_value": p},
         ))
     elif which == "charfn":
-        n = int(cfg.get("n", 64))
-        f = qvmod.weight(cfg.get("weight", "cosine"))
+        n = _at_least("--n (the check also runs at n // 2)", cfg.get("n", 64), 2)
+        f = _weight(cfg, "cosine")
         points = [tuple(p) for p in cfg.get("points", [(0.5, 1.0), (1.0, 0.5)])]
         lam = mcverify.lambda_product_grid(len(points), cfg.get("lambda_grid", mcverify.DEFAULT_LAMBDAS))
         run = lambda nn, slack: mcverify.charfn_compare(h, f, points, lam, nn, m_reps, seed, slack)
@@ -215,8 +219,8 @@ def cmd_verify(cfg: dict) -> int:
         r_large.extra["gap_shrinks"] = shrinks
         reports += [r_small, r_large]
     elif which == "stable":
-        n = int(cfg.get("n", 64))
-        f = qvmod.weight(cfg.get("weight", "identity"))
+        n = _at_least("--n (the check also runs at n // 2)", cfg.get("n", 64), 2)
+        f = _weight(cfg, "identity")
         lam = np.asarray(cfg.get("lambda_grid", mcverify.DEFAULT_LAMBDAS), dtype=float)
         z_kind = cfg.get("z_kind", "cos_corner")
         run = lambda nn, slack: mcverify.stable_convergence_check(
@@ -226,7 +230,7 @@ def cmd_verify(cfg: dict) -> int:
         r_large.extra["gap_shrinks"] = shrinks
         reports += [r_small, r_large]
     elif which == "kernel-props":
-        cases = int(cfg.get("cases", 100_000))
+        cases = _at_least("--cases", cfg.get("cases", 100_000), 1)
         reports += mcverify.kernel_property_suite(cases, seed)
     else:
         raise ConfigError(f"unknown verify suite {which!r}")
@@ -308,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--weight")
     sp.add_argument("--z-kind", dest="z_kind", choices=["cos_corner", "indicator_center"])
     sp.add_argument("--cases", type=int)
-    sp.add_argument("--workers", type=int, help="worker-pool size; never changes results")
 
     sp = sub.add_parser("bench", help="time the sampler paths and the statistic")
     common(sp)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import HurstPair
+from .kernel import HurstPair, rho_array
 
 PURPOSE_SHEET = 0
 PURPOSE_DRIVER = 1
@@ -80,41 +80,18 @@ class GridField:
     stream_key: tuple | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
-class FactorCache:
-    """Immutable square-root operator of the 1D increment covariance M^gamma.
-
-    ``factor`` has shape (n, m) with factor @ factor.T == M^gamma;
-    m = n for cholesky, m = 2n for circulant.
-    """
-
-    gamma: float
-    n: int
-    method: str
-    factor: np.ndarray
-
-
-def _rho_vec(gamma: float, c: np.ndarray) -> np.ndarray:
-    """Vectorized second difference of |x|^{2 gamma} at integer lags."""
-    a = np.abs(c).astype(float)
-
-    def p(x):
-        out = np.zeros_like(x)
-        nz = x > 0
-        out[nz] = x[nz] ** (2.0 * gamma)
-        return out
-
-    return p(a + 1) + p(np.abs(a - 1)) - 2.0 * p(a)
-
-
 def increment_cov_1d(gamma: float, n: int) -> np.ndarray:
     """The n x n matrix M^gamma[i,k] = n^{-2 gamma} rho_gamma(k-i) / 2."""
     lags = np.subtract.outer(np.arange(n), np.arange(n))
-    return 0.5 * float(n) ** (-2.0 * gamma) * _rho_vec(gamma, lags)
+    return 0.5 * float(n) ** (-2.0 * gamma) * rho_array(gamma, lags)
 
 
-def factor_1d(gamma: float, n: int, method: str = "cholesky") -> FactorCache:
-    """Square-root operator of M^gamma by Cholesky or circulant embedding."""
+def factor_1d(gamma: float, n: int, method: str = "cholesky") -> np.ndarray:
+    """Square-root operator F of M^gamma by Cholesky or circulant embedding.
+
+    F has shape (n, m) with F @ F.T == M^gamma; m = n for cholesky,
+    m = 2n for circulant.
+    """
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must lie in (0,1), got {gamma}")
     if n < 1:
@@ -122,11 +99,10 @@ def factor_1d(gamma: float, n: int, method: str = "cholesky") -> FactorCache:
     if n > _MAX_N:
         raise ValueError(f"n={n} exceeds the dense-factor budget ({_MAX_N})")
     if method == "cholesky":
-        fac = np.linalg.cholesky(increment_cov_1d(gamma, n))
-        return FactorCache(gamma=gamma, n=n, method=method, factor=fac)
+        return np.linalg.cholesky(increment_cov_1d(gamma, n))
     if method == "circulant":
         # even extension of the stationary covariance to length 2n
-        r = 0.5 * float(n) ** (-2.0 * gamma) * _rho_vec(gamma, np.arange(n + 1))
+        r = 0.5 * float(n) ** (-2.0 * gamma) * rho_array(gamma, np.arange(n + 1))
         circ = np.concatenate([r, r[-2:0:-1]])
         lam = np.fft.fft(circ).real
         if lam.min() < -1e-10:
@@ -139,25 +115,29 @@ def factor_1d(gamma: float, n: int, method: str = "cholesky") -> FactorCache:
         b = np.fft.ifft(np.sqrt(lam)).real
         m = 2 * n
         idx = (np.arange(m)[None, :] - np.arange(n)[:, None]) % m
-        return FactorCache(gamma=gamma, n=n, method=method, factor=b[idx])
+        return b[idx]
     raise ValueError(f"unknown factorization method {method!r}")
 
 
-def sample_increments(
-    h: HurstPair, n: int, rng, method: str = "cholesky",
-    factors: tuple[FactorCache, FactorCache] | None = None,
-) -> IncrementField:
+def standard_normals(seed: int, first: int, reps: int, purpose: int, shape: tuple) -> np.ndarray:
+    """Stack of ``reps`` standard-normal arrays of ``shape``.
+
+    Entry b is drawn from the stream (seed, first + b, purpose), so any split
+    of a replication range into calls gives the same draws.
+    """
+    z = np.empty((reps, *shape))
+    for b in range(reps):
+        z[b] = replication_rng(seed, first + b, purpose).generator.standard_normal(shape)
+    return z
+
+
+def sample_increments(h: HurstPair, n: int, rng, method: str = "cholesky") -> IncrementField:
     """Draw one exact sample of the n x n increment field."""
     gen, key = _split(rng)
-    if factors is None:
-        fa = factor_1d(h.alpha, n, method)
-        fb = factor_1d(h.beta, n, method)
-    else:
-        fa, fb = factors
-        if fa.n != n or fb.n != n:
-            raise ValueError("cached factors do not match the requested grid")
-    z = gen.standard_normal((fa.factor.shape[1], fb.factor.shape[1]))
-    vals = fa.factor @ z @ fb.factor.T
+    fa = factor_1d(h.alpha, n, method)
+    fb = factor_1d(h.beta, n, method)
+    z = gen.standard_normal((fa.shape[1], fb.shape[1]))
+    vals = fa @ z @ fb.T
     return IncrementField(n=n, values=vals, hurst=h, stream_key=key)
 
 
@@ -172,19 +152,25 @@ def sample_increments_batch(
     """
     fa = factor_1d(h.alpha, n, method)
     fb = factor_1d(h.beta, n, method)
-    ma, mb = fa.factor.shape[1], fb.factor.shape[1]
-    z = np.empty((reps, ma, mb))
-    for r in range(reps):
-        z[r] = replication_rng(seed, r, purpose).generator.standard_normal((ma, mb))
-    return fa.factor @ z @ fb.factor.T
+    return fa @ standard_normals(seed, 0, reps, purpose, (fa.shape[1], fb.shape[1])) @ fb.T
+
+
+def prefix_nodes(values: np.ndarray) -> np.ndarray:
+    """2D prefix sums over the last two axes, zero-padded in front of each.
+
+    Cell values of shape (..., n, m) give node values of shape
+    (..., n+1, m+1) whose first row and column are zero.
+    """
+    out = np.zeros(values.shape[:-2] + (values.shape[-2] + 1, values.shape[-1] + 1))
+    out[..., 1:, 1:] = values.cumsum(axis=-2).cumsum(axis=-1)
+    return out
 
 
 def field_from_increments(inc: IncrementField) -> GridField:
     """2D prefix sums of the increments; row 0 and column 0 are zero."""
-    n = inc.n
-    vals = np.zeros((n + 1, n + 1))
-    vals[1:, 1:] = inc.values.cumsum(axis=0).cumsum(axis=1)
-    return GridField(n=n, values=vals, hurst=inc.hurst, stream_key=inc.stream_key)
+    return GridField(
+        n=inc.n, values=prefix_nodes(inc.values), hurst=inc.hurst, stream_key=inc.stream_key
+    )
 
 
 def sample_white_increments(n: int, rng) -> IncrementField:
@@ -192,14 +178,6 @@ def sample_white_increments(n: int, rng) -> IncrementField:
     gen, key = _split(rng)
     vals = gen.standard_normal((n, n)) / n
     return IncrementField(n=n, values=vals, hurst=HurstPair(0.5, 0.5), stream_key=key)
-
-
-def white_increments_batch(n: int, seed: int, reps: int, purpose: int = PURPOSE_DRIVER) -> np.ndarray:
-    """Stack of ``reps`` standard-sheet increment fields, shape (reps, n, n)."""
-    out = np.empty((reps, n, n))
-    for r in range(reps):
-        out[r] = replication_rng(seed, r, purpose).generator.standard_normal((n, n)) / n
-    return out
 
 
 def write_field(path, f: GridField) -> None:

@@ -13,12 +13,17 @@ The sheet W has tensor-product covariance
 with K^g(a,b) = (a^{2g} + b^{2g} - |a-b|^{2g}) / 2, and vanishes whenever
 either coordinate is zero. ``rho`` is the second difference of x -> x^{2g}
 on the integers; it drives both the increment covariance and the limiting
-constant.
+constant. ``rho_array`` is its vectorized form. The two are kept apart on
+purpose: numpy's array ``pow`` can differ from libm's scalar ``pow`` in the
+last bit (seen with numpy 2.4 on AVX-512 CPUs), and perfbench/golden.json
+pins the outputs of both, so neither may replace the other where it is used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,19 @@ def rho(gamma: float, c: int) -> float:
     Even in c; rho(gamma, 0) = 2; identically 0 for |c| >= 1 at gamma = 1/2.
     """
     return _pow2g(c + 1, gamma) + _pow2g(c - 1, gamma) - 2.0 * _pow2g(c, gamma)
+
+
+def rho_array(gamma: float, c: np.ndarray) -> np.ndarray:
+    """``rho`` at an array of integer lags, with exact zeros at the cusp."""
+    a = np.abs(c).astype(float)
+
+    def p(x):
+        out = np.zeros_like(x)
+        nz = x > 0
+        out[nz] = x[nz] ** (2.0 * gamma)
+        return out
+
+    return p(a + 1) + p(np.abs(a - 1)) - 2.0 * p(a)
 
 
 def _check_index(n: int, *idx: int) -> None:

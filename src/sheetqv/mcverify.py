@@ -16,9 +16,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fieldsim import PURPOSE_SHEET, factor_1d, replication_rng
+from .fieldsim import PURPOSE_SHEET, factor_1d, prefix_nodes, standard_normals
+from .fieldsim import replication_rng  # noqa: F401  (perfbench.layers patches this name)
 from .kernel import HurstPair, rho
-from .qv import WeightFunction, d2_mean_at, moment_m
+from .qv import WeightFunction, d2_mean_at, moment_m, summands
 from .quadrature import gauss_legendre_2d
 from .sigma import sigma as sigma_of
 
@@ -53,14 +54,6 @@ class VerifyReport:
             "pass": self.passed,
             **({"extra": self.extra} if self.extra else {}),
         }
-
-
-@dataclass
-class CovMatrixQ:
-    """Conditional covariance matrix of the limit at a list of time points."""
-
-    points: list
-    matrix: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +126,13 @@ def mean_decay(
     expo = 1.0 - 2.0 * (h.alpha + h.beta)
     ns = np.array(n_list, dtype=float)
     if np.all(means == 0.0):
-        return VerifyReport(
-            test="mean_decay",
-            params={"alpha": h.alpha, "beta": h.beta, "t": list(t), "n_list": n_list},
-            estimate=0.0,
-            se=0.0,
-            reference=expo,
-            provenance="exact kernel formula",
-            passed=True,
-            extra={"means": means.tolist(), "slope": 0.0, "bound_ok": True},
-        )
-    c_fit = abs(means[0]) / ns[0] ** expo
-    bound_ok = bool(np.all(np.abs(means) <= c_fit * ns**expo * (1.0 + 1e-9)))
-    nz = np.abs(means) > 0
-    slope, _ = np.polyfit(np.log(ns[nz]), np.log(np.abs(means[nz])), 1)
+        slope, bound_ok, passed = 0.0, True, True
+    else:
+        c_fit = abs(means[0]) / ns[0] ** expo
+        bound_ok = bool(np.all(np.abs(means) <= c_fit * ns**expo * (1.0 + 1e-9)))
+        nz = np.abs(means) > 0
+        slope, _ = np.polyfit(np.log(ns[nz]), np.log(np.abs(means[nz])), 1)
+        passed = bound_ok and abs(slope - expo) <= 0.25
     return VerifyReport(
         test="mean_decay",
         params={"alpha": h.alpha, "beta": h.beta, "t": list(t), "n_list": n_list},
@@ -154,7 +140,7 @@ def mean_decay(
         se=0.0,
         reference=expo,
         provenance="exact kernel formula",
-        passed=bound_ok and abs(slope - expo) <= 0.25,
+        passed=passed,
         extra={"means": means.tolist(), "slope": float(slope), "bound_ok": bound_ok},
     )
 
@@ -164,26 +150,45 @@ def mean_decay(
 
 
 def _node_chunks(h, n, seed, M, rep_offset=0, purpose=PURPOSE_SHEET, method="cholesky"):
-    """Yield (n+1)x(n+1) node arrays and raw increments in chunks of reps."""
+    """Yield raw increments and (n+1)x(n+1) node arrays in chunks of reps."""
     fa = factor_1d(h.alpha, n, method)
     fb = factor_1d(h.beta, n, method)
-    ma, mb = fa.factor.shape[1], fb.factor.shape[1]
+    shape = (fa.shape[1], fb.shape[1])
     for start in range(0, M, _CHUNK):
         size = min(_CHUNK, M - start)
-        z = np.empty((size, ma, mb))
-        for b in range(size):
-            gen = replication_rng(seed, rep_offset + start + b, purpose).generator
-            z[b] = gen.standard_normal((ma, mb))
-        inc = fa.factor @ z @ fb.factor.T
-        nodes = np.zeros((size, n + 1, n + 1))
-        nodes[:, 1:, 1:] = inc.cumsum(axis=1).cumsum(axis=2)
-        yield inc, nodes
+        inc = fa @ standard_normals(seed, rep_offset + start, size, purpose, shape) @ fb.T
+        yield inc, prefix_nodes(inc)
 
 
 def _point_indices(n: int, points) -> np.ndarray:
     return np.array(
         [[min(int(np.floor(n * p[0])), n), min(int(np.floor(n * p[1])), n)] for p in points]
     )
+
+
+def _corner_sums(a: np.ndarray, idx) -> np.ndarray:
+    """Sums of a[..., :i, :j] for each (i, j) in idx, shape (..., len(idx)).
+
+    Adds down the columns, then along only the needed row prefix, so each
+    value is bit-identical to a full double cumsum read at (i-1, j-1); a
+    pairwise ``.sum()`` would round differently.
+    """
+    cols = a.cumsum(axis=-2)
+    out = np.zeros(a.shape[:-2] + (len(idx),))
+    for p, (i, j) in enumerate(idx):
+        if i and j:
+            out[..., p] = cols[..., i - 1, :j].cumsum(axis=-1)[..., -1]
+    return out
+
+
+def _f2_sums(f: WeightFunction, nodes: np.ndarray, idx) -> np.ndarray:
+    """Unscaled conditional variances: sums of f^2(lower-left node) per corner in idx."""
+    return _corner_sums(f.func(nodes[..., :-1, :-1]) ** 2, idx)
+
+
+def _pair_indices(idx: np.ndarray) -> np.ndarray:
+    """Corner (min i, min j) of every ordered pair of points, row-major."""
+    return np.minimum(idx[:, None, :], idx[None, :, :]).reshape(-1, 2)
 
 
 def qv_point_samples(
@@ -206,18 +211,10 @@ def qv_point_samples(
     idx = _point_indices(n, points)
     xs = np.empty((M, len(points)))
     zs = np.empty(M) if sheet_functional is not None else None
-    scale = float(n) ** (2.0 * (h.alpha + h.beta))
     row = 0
     for inc, nodes in _node_chunks(h, n, seed, M, rep_offset=rep_offset, method=method):
         size = inc.shape[0]
-        lower_left = nodes[:, :n, :n]
-        summand = f.func(lower_left) * (scale * inc**2 - 1.0)
-        s = summand.cumsum(axis=1).cumsum(axis=2) / n
-        for p, (i, j) in enumerate(idx):
-            if i == 0 or j == 0:
-                xs[row : row + size, p] = 0.0
-            else:
-                xs[row : row + size, p] = s[:, i - 1, j - 1]
+        xs[row : row + size] = _corner_sums(summands(h, nodes, inc, f), idx) / n
         if zs is not None:
             zs[row : row + size] = sheet_functional(nodes)
         row += size
@@ -269,41 +266,25 @@ def second_moment_limit(
 # conditional covariance and characteristic functions
 
 
-def build_Q(field, f: WeightFunction, sigma_val: float, points) -> CovMatrixQ:
+def build_Q(field, f: WeightFunction, sigma_val: float, points) -> np.ndarray:
     """Riemann-sum conditional covariance matrix on the field's grid."""
     n = field.n
-    g = np.zeros((n + 1, n + 1))
-    g[1:, 1:] = (f.func(field.values[:-1, :-1]) ** 2).cumsum(axis=0).cumsum(axis=1)
-    idx = _point_indices(n, points)
     m = len(points)
-    mat = np.empty((m, m))
-    for a in range(m):
-        for b in range(m):
-            i = min(idx[a, 0], idx[b, 0])
-            j = min(idx[a, 1], idx[b, 1])
-            mat[a, b] = g[i, j]
+    mat = _f2_sums(f, field.values, _pair_indices(_point_indices(n, points))).reshape(m, m)
     mat *= sigma_val**2 / (n * n)
-    return CovMatrixQ(points=list(points), matrix=mat)
+    return mat
 
 
 def _q_quadform_samples(h, f, n, M, seed, rep_offset, points, sigma_val, lambdas):
     """Per-replication exp(-1/2 lam' Q lam) over independent sheet samples."""
-    idx = _point_indices(n, points)
+    pairs = _pair_indices(_point_indices(n, points))
+    m = len(points)
     lam = np.asarray(lambdas)  # (L, m)
     out = np.empty((M, lam.shape[0]))
     row = 0
     for _, nodes in _node_chunks(h, n, seed, M, rep_offset=rep_offset):
         size = nodes.shape[0]
-        g = (f.func(nodes[:, :n, :n]) ** 2).cumsum(axis=1).cumsum(axis=2)
-        gpad = np.zeros((size, n + 1, n + 1))
-        gpad[:, 1:, 1:] = g
-        m = len(points)
-        q = np.empty((size, m, m))
-        for a in range(m):
-            for b in range(m):
-                i = min(idx[a, 0], idx[b, 0])
-                j = min(idx[a, 1], idx[b, 1])
-                q[:, a, b] = gpad[:, i, j]
+        q = _f2_sums(f, nodes, pairs).reshape(size, m, m)
         q *= sigma_val**2 / (n * n)
         quad = np.einsum("la,rab,lb->rl", lam, q, lam)
         out[row : row + size] = np.exp(-0.5 * quad)
@@ -332,6 +313,24 @@ def lambda_product_grid(m: int, per_coord=DEFAULT_LAMBDAS) -> np.ndarray:
     """Cartesian product grid of lambda vectors, shape (len(per_coord)^m, m)."""
     grids = np.meshgrid(*([np.asarray(per_coord)] * m), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def _sup_diff_report(test, params, provenance, left, left_se, right, right_se, slack) -> VerifyReport:
+    """Pass iff |left - right| <= 4 * combined SE + slack on every lambda; report the sup."""
+    diff = np.abs(left - right)
+    combined = np.sqrt(left_se**2 + right_se**2)
+    excess = diff - 4.0 * combined
+    sup_i = int(np.argmax(diff))
+    return VerifyReport(
+        test=test,
+        params=params,
+        estimate=float(diff[sup_i]),
+        se=float(combined[sup_i]),
+        reference=0.0,
+        provenance=provenance,
+        passed=bool(np.all(excess <= slack)),
+        extra={"sup_diff": float(diff.max()), "max_excess": float(excess.max())},
+    )
 
 
 def charfn_compare(
@@ -366,22 +365,13 @@ def charfn_compare(
     ref = ref_samples.mean(axis=0)
     ref_se = bootstrap_se(ref_samples, seed + 1)
 
-    diff = np.abs(emp - ref)
-    combined = np.sqrt(emp_se**2 + ref_se**2)
-    excess = diff - 4.0 * combined
-    sup_i = int(np.argmax(diff))
-    return VerifyReport(
-        test="charfn_compare",
-        params={
-            "alpha": h.alpha, "beta": h.beta, "f": f.kind,
-            "points": [list(p) for p in points], "n": n, "M": M, "seed": seed,
-        },
-        estimate=float(diff[sup_i]),
-        se=float(combined[sup_i]),
-        reference=0.0,
-        provenance="closed-form conditional charfn over independent sheet MC",
-        passed=bool(np.all(excess <= slack)),
-        extra={"sup_diff": float(diff.max()), "max_excess": float(excess.max())},
+    params = {
+        "alpha": h.alpha, "beta": h.beta, "f": f.kind,
+        "points": [list(p) for p in points], "n": n, "M": M, "seed": seed,
+    }
+    return _sup_diff_report(
+        "charfn_compare", params, "closed-form conditional charfn over independent sheet MC",
+        emp, emp_se, ref, ref_se, slack,
     )
 
 
@@ -417,36 +407,26 @@ def stable_convergence_check(
     left = left_samples.mean(axis=0)
     left_se = bootstrap_se(left_samples, seed)
 
-    i_t, j_t = _point_indices(n, [t])[0]
+    idx = _point_indices(n, [t])
     zr = np.empty(M)
     vr = np.empty(M)
     row = 0
     for _, nodes in _node_chunks(h, n, seed, M, rep_offset=M):
         size = nodes.shape[0]
         zr[row : row + size] = functional(nodes)
-        g = (f.func(nodes[:, :n, :n]) ** 2).cumsum(axis=1).cumsum(axis=2)
-        vr[row : row + size] = g[:, i_t - 1, j_t - 1] / (n * n) if i_t and j_t else 0.0
+        vr[row : row + size] = _f2_sums(f, nodes, idx)[:, 0] / (n * n)
         row += size
     right_samples = zr[:, None] * np.exp(-0.5 * np.outer(vr, lam**2) * sigma_val**2)
     right = right_samples.mean(axis=0)
     right_se = bootstrap_se(right_samples, seed + 1)
 
-    diff = np.abs(left - right)
-    combined = np.sqrt(left_se**2 + right_se**2)
-    excess = diff - 4.0 * combined
-    sup_i = int(np.argmax(diff))
-    return VerifyReport(
-        test="stable_convergence",
-        params={
-            "alpha": h.alpha, "beta": h.beta, "f": f.kind, "t": list(t),
-            "Z": z_kind, "n": n, "M": M, "seed": seed,
-        },
-        estimate=float(diff[sup_i]),
-        se=float(combined[sup_i]),
-        reference=0.0,
-        provenance="conditional-Gaussian identity over independent sheet MC",
-        passed=bool(np.all(excess <= slack)),
-        extra={"sup_diff": float(diff.max()), "max_excess": float(excess.max())},
+    params = {
+        "alpha": h.alpha, "beta": h.beta, "f": f.kind, "t": list(t),
+        "Z": z_kind, "n": n, "M": M, "seed": seed,
+    }
+    return _sup_diff_report(
+        "stable_convergence", params, "conditional-Gaussian identity over independent sheet MC",
+        left, left_se, right, right_se, slack,
     )
 
 
@@ -468,18 +448,6 @@ def incr_cov_oracle(h: HurstPair, n: int, i: int, j: int, k: int, l: int) -> flo
                     p2 = ((k - 1 + a2) / n, (l - 1 + b2) / n)
                     total += sign * cov_point(h, p1, p2)
     return total
-
-
-def point_rect_cov_oracle(h: HurstPair, l: tuple, r) -> float:
-    """Brute-force 4-term expansion of the point/rectangle covariance."""
-    from .kernel import cov_point
-
-    return (
-        cov_point(h, l, (r.t1, r.t2))
-        - cov_point(h, l, (r.s1, r.t2))
-        - cov_point(h, l, (r.t1, r.s2))
-        + cov_point(h, l, (r.s1, r.s2))
-    )
 
 
 def _random_admissible_arrays(rng, size):

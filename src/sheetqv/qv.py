@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fieldsim import GridField, IncrementField
+from .fieldsim import GridField, IncrementField, prefix_nodes
 from .kernel import HurstPair
 from .quadrature import gauss_hermite_mean
 
@@ -128,22 +128,25 @@ def _check_same_sample(field: GridField, inc: IncrementField) -> None:
         raise ValueError(f"grid mismatch: field n={field.n}, increments n={inc.n}")
     if field.hurst != inc.hurst:
         raise ValueError("field and increments carry different Hurst pairs")
-    expected = inc.values.cumsum(axis=0).cumsum(axis=1)
-    if not np.array_equal(field.values[1:, 1:], expected):
+    if not np.array_equal(field.values[1:, 1:], prefix_nodes(inc.values)[1:, 1:]):
         raise ValueError("field is not the prefix sum of the given increments")
+
+
+def summands(h: HurstPair, nodes: np.ndarray, inc: np.ndarray, f: WeightFunction) -> np.ndarray:
+    """Per-cell terms f(lower-left node) * (n^{2(alpha+beta)} Delta^2 - 1).
+
+    ``nodes`` (..., n+1, n+1) and ``inc`` (..., n, n) may carry leading
+    replication axes; the statistic is their prefix sum divided by n.
+    """
+    scale = float(inc.shape[-1]) ** (2.0 * (h.alpha + h.beta))
+    return f.func(nodes[..., :-1, :-1]) * (scale * inc**2 - 1.0)
 
 
 def qv_process(field: GridField, inc: IncrementField, f: WeightFunction) -> QVProcess:
     """Compute the statistic's partial sums from one simulated sample."""
     _check_same_sample(field, inc)
-    n = inc.n
-    h = inc.hurst
-    scale = float(n) ** (2.0 * (h.alpha + h.beta))
-    lower_left = field.values[:-1, :-1]
-    summand = f.func(lower_left) * (scale * inc.values**2 - 1.0)
-    s = np.zeros((n + 1, n + 1))
-    s[1:, 1:] = summand.cumsum(axis=0).cumsum(axis=1) / n
-    return QVProcess(n=n, partial_sums=s, hurst=h, weight_kind=f.kind)
+    s = prefix_nodes(summands(inc.hurst, field.values, inc.values, f)) / inc.n
+    return QVProcess(n=inc.n, partial_sums=s, hurst=inc.hurst, weight_kind=f.kind)
 
 
 def eval_qv(p: QVProcess, s: float, t: float) -> float:
@@ -169,11 +172,7 @@ def limit_sample(
         and field.stream_key == driver.stream_key
     ):
         raise ValueError("driver shares its rng stream with the field")
-    n = field.n
-    summand = sigma_val * f.func(field.values[:-1, :-1]) * driver.values
-    s = np.zeros((n + 1, n + 1))
-    s[1:, 1:] = summand.cumsum(axis=0).cumsum(axis=1)
-    return s
+    return prefix_nodes(sigma_val * f.func(field.values[:-1, :-1]) * driver.values)
 
 
 def write_qv_csv(path, p: QVProcess) -> None:

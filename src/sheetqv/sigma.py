@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import HurstPair
+from .kernel import HurstPair, rho_array
 
 _CUTOFF_CAP = 10**8
 
@@ -48,22 +48,10 @@ def _check_regime(h: HurstPair) -> None:
         )
 
 
-def _rho_arr(gamma: float, c: np.ndarray) -> np.ndarray:
-    # vectorized second difference with exact zeros at the |x|^{2g} cusp
-    def p(x):
-        a = np.abs(x).astype(float)
-        out = np.zeros_like(a)
-        nz = a > 0
-        out[nz] = a[nz] ** (2.0 * gamma)
-        return out
-
-    return p(c + 1) + p(c - 1) - 2.0 * p(c)
-
-
 def _axis_sum_sq(gamma: float, cutoff: int) -> float:
     """sum_{|c| <= cutoff} rho_gamma(c)^2 with compensated accumulation."""
     c = np.arange(1, cutoff + 1)
-    terms = _rho_arr(gamma, c) ** 2
+    terms = rho_array(gamma, c) ** 2
     # rho(0) = 2 always; one-sided terms counted twice by symmetry
     return 4.0 + 2.0 * math.fsum(terms.tolist())
 
@@ -82,7 +70,7 @@ def _axis_tail(gamma: float, cutoff: int) -> float:
     extra = 0.0
     if base > cutoff:
         c = np.arange(cutoff + 1, base + 1)
-        extra = 2.0 * math.fsum((_rho_arr(gamma, c) ** 2).tolist())
+        extra = 2.0 * math.fsum((rho_array(gamma, c) ** 2).tolist())
     # integral comparison of sum_{c > base} (c-1)^{4g-4}
     integral = (base - 1.0) ** (4.0 * gamma - 3.0) / (3.0 - 4.0 * gamma)
     return extra + 2.0 * cg * cg * integral
@@ -102,11 +90,9 @@ def sigma_squared_partial(h: HurstPair, cutoff: int) -> SeriesResult:
     return SeriesResult(value=value, cutoff=cutoff, tail_bound=tail)
 
 
-def sigma(h: HurstPair, tol: float) -> float:
-    """sigma_{alpha,beta} to relative series-truncation tolerance tol.
-
-    Returns sqrt of a partial sum whose tail bound is at most tol * value.
-    Deterministic for fixed inputs; sqrt(2) exactly at alpha = beta = 1/2.
+def sigma_series(h: HurstPair, tol: float) -> SeriesResult:
+    """Partial sum of sigma^2 at the first cutoff in 4, 40, 400, ... whose
+    tail bound is at most tol * value; RuntimeError past a 10^8 cutoff.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -115,9 +101,18 @@ def sigma(h: HurstPair, tol: float) -> float:
     while True:
         res = sigma_squared_partial(h, cutoff)
         if res.tail_bound <= tol * res.value:
-            return math.sqrt(res.value)
+            return res
         if cutoff >= _CUTOFF_CAP:
             raise RuntimeError(
                 f"series did not reach tolerance {tol} within cutoff {_CUTOFF_CAP}"
             )
         cutoff = min(cutoff * 10, _CUTOFF_CAP)
+
+
+def sigma(h: HurstPair, tol: float) -> float:
+    """sigma_{alpha,beta} to relative series-truncation tolerance tol.
+
+    Returns sqrt of the partial sum of ``sigma_series``. Deterministic for
+    fixed inputs; sqrt(2) exactly at alpha = beta = 1/2.
+    """
+    return math.sqrt(sigma_series(h, tol).value)

@@ -8,6 +8,8 @@ import pytest
 
 from sheetqv.cli import EXIT_CONFIG, EXIT_OK, EXIT_TEST_FAILURE, main
 from sheetqv.fieldsim import read_field
+from sheetqv.kernel import HurstPair
+from sheetqv.sigma import sigma_series
 
 
 def run(capsys, *argv):
@@ -31,9 +33,11 @@ def test_sigma_bracketing_fields(capsys):
     code, recs, _ = run(capsys, "sigma", "--alpha", "0.35", "--beta", "0.35", "--tol", "1e-8")
     assert code == EXIT_OK
     r = recs[0]
-    assert r["sigma"] == pytest.approx(math.sqrt(r["sigma_squared"]), rel=1e-15)
+    assert r["sigma"] == math.sqrt(r["sigma_squared"])
     assert r["tail_bound"] <= 1e-8 * r["sigma_squared"]
     assert r["cutoff"] >= 4
+    res = sigma_series(HurstPair(0.35, 0.35), 1e-8)
+    assert (r["sigma_squared"], r["cutoff"], r["tail_bound"]) == (res.value, res.cutoff, res.tail_bound)
 
 
 def test_sigma_regime_error_exit_code(capsys):
@@ -187,17 +191,21 @@ def test_verify_failure_exit_code(capsys):
     assert recs[0]["pass"] is False
 
 
-def test_verify_workers_flag_does_not_change_results(capsys):
-    _, recs1, _ = run(
-        capsys, "verify", "--which", "kernel-props",
-        "--alpha", "0.35", "--beta", "0.4", "--seed", "9", "--cases", "1000",
-    )
-    _, recs2, _ = run(
-        capsys, "verify", "--which", "kernel-props",
-        "--alpha", "0.35", "--beta", "0.4", "--seed", "9", "--cases", "1000",
-        "--workers", "4",
-    )
-    assert recs1 == recs2
+@pytest.mark.parametrize("argv", [
+    ["--which", "ks", "--M", "50"],
+    ["--which", "charfn", "--n", "1"],
+    ["--which", "stable", "--n", "1"],
+    ["--which", "var", "--n-list", "0", "4"],
+    ["--which", "var", "--M", "1"],
+    ["--which", "mean", "--n-list", "8"],
+    ["--which", "var", "--weight", "nope"],
+    ["--which", "kernel-props", "--cases", "0"],
+])
+def test_verify_rejects_unusable_input(capsys, argv):
+    code, recs, err = run(capsys, "verify", *argv, "--alpha", "0.35", "--beta", "0.35", "--seed", "1")
+    assert code == EXIT_CONFIG
+    assert recs == []
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_verify_unknown_suite(capsys):

@@ -16,7 +16,6 @@ from sheetqv.fieldsim import (
     sample_increments,
     sample_increments_batch,
     sample_white_increments,
-    white_increments_batch,
     write_field,
 )
 from sheetqv.kernel import HurstPair, cov_point, incr_cov
@@ -43,14 +42,14 @@ def test_increment_cov_1d_matches_2d_kernel():
 def test_factor_reconstructs_covariance(method, gamma):
     n = 24
     fac = factor_1d(gamma, n, method)
-    got = fac.factor @ fac.factor.T
+    got = fac @ fac.T
     want = increment_cov_1d(gamma, n)
     assert np.abs(got - want).max() < 1e-14
 
 
 def test_factor_shapes():
-    assert factor_1d(0.3, 10, "cholesky").factor.shape == (10, 10)
-    assert factor_1d(0.3, 10, "circulant").factor.shape == (10, 20)
+    assert factor_1d(0.3, 10, "cholesky").shape == (10, 10)
+    assert factor_1d(0.3, 10, "circulant").shape == (10, 20)
 
 
 def test_factor_validation():
@@ -116,7 +115,7 @@ def test_methods_agree_in_distribution():
     n = 8
     fa_c = factor_1d(H.alpha, n, "cholesky")
     fa_e = factor_1d(H.alpha, n, "circulant")
-    assert np.abs(fa_c.factor @ fa_c.factor.T - fa_e.factor @ fa_e.factor.T).max() < 1e-14
+    assert np.abs(fa_c @ fa_c.T - fa_e @ fa_e.T).max() < 1e-14
 
 
 def test_determinism_same_key():
@@ -140,13 +139,6 @@ def test_batch_equals_per_replication_sampling():
     stack = sample_increments_batch(H, 6, seed=21, reps=5)
     for r in range(5):
         single = sample_increments(H, 6, replication_rng(21, r, PURPOSE_SHEET))
-        assert np.array_equal(stack[r], single.values)
-
-
-def test_white_batch_equals_per_replication():
-    stack = white_increments_batch(6, seed=21, reps=3)
-    for r in range(3):
-        single = sample_white_increments(6, replication_rng(21, r, PURPOSE_DRIVER))
         assert np.array_equal(stack[r], single.values)
 
 

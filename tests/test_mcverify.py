@@ -15,6 +15,7 @@ from sheetqv.fieldsim import (
 from sheetqv.kernel import HurstPair
 from sheetqv.mcverify import (
     DEFAULT_LAMBDAS,
+    _corner_sums,
     bootstrap_se,
     build_Q,
     charfn_compare,
@@ -141,6 +142,25 @@ def test_qv_point_samples_match_qv_process():
         assert xs[r, 1] == pytest.approx(eval_qv(p, 0.5, 0.75), rel=1e-12)
 
 
+def test_point_samples_equal_qv_process_across_chunks():
+    # both statistic paths give the same bits, also past the 256-replication
+    # chunk boundary and at points on an axis
+    f = weight("cosine")
+    n, seed, offset = 8, 61, 7
+    points = [(0.0, 0.4), (1.0, 1.0), (0.5, 0.75), (0.3, 1.0)]
+    xs, _ = qv_point_samples(H, f, n, 300, seed, points, rep_offset=offset)
+    for r in (0, 255, 256, 299):
+        inc = sample_increments(H, n, replication_rng(seed, offset + r, PURPOSE_SHEET))
+        p = qv_process(field_from_increments(inc), inc, f)
+        assert np.array_equal(xs[r], [eval_qv(p, s, t) for s, t in points])
+
+    a = np.random.default_rng(3).standard_normal((3, 7, 9))
+    full = a.cumsum(axis=-2).cumsum(axis=-1)
+    idx = [(i, j) for i in range(8) for j in range(10)]
+    want = np.stack([full[:, i - 1, j - 1] if i and j else np.zeros(3) for i, j in idx], axis=-1)
+    assert np.array_equal(_corner_sums(a, idx), want)
+
+
 def test_qv_point_samples_rep_offset_disjoint():
     f = weight("constant_one")
     a, _ = qv_point_samples(H, f, 4, 4, 5, points=[(1.0, 1.0)])
@@ -216,8 +236,8 @@ def test_build_q_constant_weight_closed_form():
     points = [(0.5, 1.0), (1.0, 0.5)]
     q = build_Q(field, weight("constant_one"), 1.5, points)
     want = 1.5**2 * np.array([[0.5, 0.25], [0.25, 0.5]])
-    assert np.allclose(q.matrix, want, rtol=1e-12)
-    assert np.array_equal(q.matrix, q.matrix.T)
+    assert np.allclose(q, want, rtol=1e-12)
+    assert np.array_equal(q, q.T)
 
 
 def test_charfn_compare_small_run_passes():
