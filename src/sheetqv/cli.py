@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fieldsim, mcverify, qv as qvmod
 from .kernel import HurstPair
-from .sigma import RegimeError, sigma_series
+from .sigma import CutoffError, RegimeError, sigma_series
 from .sigma import sigma, sigma_squared_partial  # noqa: F401  (perfbench.layers patches these names)
 
 EXIT_OK = 0
@@ -60,13 +60,31 @@ class ConfigError(Exception):
     pass
 
 
+_INTEGER_OPTIONS = ("n", "seed", "M", "cases")  # flags with type=int; n_list holds ints
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except ValueError as e:  # malformed JSON or undecodable bytes
+                raise ConfigError(f"config file {args.config} is not valid JSON: {e}") from e
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
+        # argparse types the flags; config values get the same integer check
+        for k in _INTEGER_OPTIONS:
+            if k in cfg and not _is_integer(cfg[k]):
+                raise ConfigError(f"config value {k!r} must be an integer, got {cfg[k]!r}")
+        if "n_list" in cfg and not (
+            isinstance(cfg["n_list"], list) and all(map(_is_integer, cfg["n_list"]))
+        ):
+            raise ConfigError(f"config value 'n_list' must be a list of integers, got {cfg['n_list']!r}")
     for k, v in vars(args).items():
         if k in ("command", "config"):
             continue
@@ -95,8 +113,11 @@ def _hurst(cfg: dict) -> HurstPair:
 
 def cmd_sigma(cfg: dict) -> int:
     h = _hurst(cfg)
+    tol = cfg.get("tol", 1e-10)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol > 0:
+        raise ConfigError(f"--tol must be a positive number, got {tol!r}")
     try:
-        res = sigma_series(h, float(cfg.get("tol", 1e-10)))
+        res = sigma_series(h, float(tol))
     except RegimeError as e:
         _note(f"regime error: {e}")
         return EXIT_CONFIG
@@ -120,10 +141,8 @@ def _one_sample(cfg: dict):
     """Increments and nodes of replication 0, the sample that sample and qv write."""
     h = _hurst(cfg)
     _require(cfg, "n", "seed", "out")
-    n = int(cfg["n"])
-    if n < 1:
-        raise ConfigError("n must be a positive integer")
-    stream = fieldsim.replication_rng(int(cfg["seed"]), 0, fieldsim.PURPOSE_SHEET)
+    n = _grid_size("--n", cfg["n"])
+    stream = fieldsim.replication_rng(_at_least("--seed", cfg["seed"], 0), 0, fieldsim.PURPOSE_SHEET)
     inc = fieldsim.sample_increments(h, n, stream, method=cfg.get("method", "cholesky"))
     return inc, fieldsim.field_from_increments(inc)
 
@@ -168,11 +187,19 @@ def _at_least(what: str, value, least: int) -> int:
     return value
 
 
+def _grid_size(what: str, value, least: int = 1) -> int:
+    """A grid size the samplers can factor: least <= n <= fieldsim._MAX_N."""
+    n = _at_least(what, value, least)
+    if n > fieldsim._MAX_N:
+        raise ConfigError(f"{what} must be at most {fieldsim._MAX_N} (dense-factor budget), got {n}")
+    return n
+
+
 def cmd_verify(cfg: dict) -> int:
     which = cfg.get("which")
     h = _hurst(cfg)
     _require(cfg, "seed")
-    seed = int(cfg["seed"])
+    seed = _at_least("--seed", cfg["seed"], 0)
     m_reps = int(cfg.get("M", 5000))
     if which in ("var", "ks", "charfn", "stable"):
         # two replications for a standard error; the KS p-value is asymptotic
@@ -185,7 +212,7 @@ def cmd_verify(cfg: dict) -> int:
             raise ConfigError("--which mean needs at least 2 strictly increasing --n-list sizes")
         reports.append(mcverify.mean_decay(h, qvmod.weight("square"), (1.0, 1.0), n_list))
     elif which == "var":
-        n_list = [_at_least("--n-list size", v, 1) for v in cfg.get("n_list", [16, 64])]
+        n_list = [_grid_size("--n-list size", v) for v in cfg.get("n_list", [16, 64])]
         f = _weight(cfg, "identity")
         run = lambda n, slack: mcverify.second_moment_limit(h, f, (1.0, 1.0), n, m_reps, seed, slack)
         r_small, r_large, shrinks = _two_scale(run, n_list[0], n_list[-1])
@@ -195,7 +222,7 @@ def cmd_verify(cfg: dict) -> int:
         r_large.extra["gap_shrinks"] = shrinks
         reports += [r_small, r_large]
     elif which == "ks":
-        n = _at_least("--n", cfg.get("n", 64), 1)
+        n = _grid_size("--n", cfg.get("n", 64))
         f = _weight(cfg, "constant_one")
         xs, _ = mcverify.qv_point_samples(h, f, n, m_reps, seed, [(1.0, 1.0)])
         var = mcverify.exact_qv_variance(h, n)
@@ -209,7 +236,7 @@ def cmd_verify(cfg: dict) -> int:
             extra={"p_value": p},
         ))
     elif which == "charfn":
-        n = _at_least("--n (the check also runs at n // 2)", cfg.get("n", 64), 2)
+        n = _grid_size("--n (the check also runs at n // 2)", cfg.get("n", 64), 2)
         f = _weight(cfg, "cosine")
         points = [tuple(p) for p in cfg.get("points", [(0.5, 1.0), (1.0, 0.5)])]
         lam = mcverify.lambda_product_grid(len(points), cfg.get("lambda_grid", mcverify.DEFAULT_LAMBDAS))
@@ -219,7 +246,7 @@ def cmd_verify(cfg: dict) -> int:
         r_large.extra["gap_shrinks"] = shrinks
         reports += [r_small, r_large]
     elif which == "stable":
-        n = _at_least("--n (the check also runs at n // 2)", cfg.get("n", 64), 2)
+        n = _grid_size("--n (the check also runs at n // 2)", cfg.get("n", 64), 2)
         f = _weight(cfg, "identity")
         lam = np.asarray(cfg.get("lambda_grid", mcverify.DEFAULT_LAMBDAS), dtype=float)
         z_kind = cfg.get("z_kind", "cos_corner")
@@ -247,8 +274,8 @@ def cmd_verify(cfg: dict) -> int:
 def cmd_bench(cfg: dict) -> int:
     h = _hurst(cfg)
     _require(cfg, "seed")
-    seed = int(cfg["seed"])
-    n_list = [int(v) for v in cfg.get("n_list", [cfg.get("n", 64)])]
+    seed = _at_least("--seed", cfg["seed"], 0)
+    n_list = [_grid_size("--n-list size", v) for v in cfg.get("n_list", [cfg.get("n", 64)])]
     rows = []
     for n in n_list:
         row = {"n": n}
@@ -339,7 +366,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, FileNotFoundError, RegimeError) as e:
+    except (ConfigError, FileNotFoundError, RegimeError, CutoffError) as e:
         _note(f"error: {e}")
         return EXIT_CONFIG
 

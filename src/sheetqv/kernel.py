@@ -13,10 +13,14 @@ The sheet W has tensor-product covariance
 with K^g(a,b) = (a^{2g} + b^{2g} - |a-b|^{2g}) / 2, and vanishes whenever
 either coordinate is zero. ``rho`` is the second difference of x -> x^{2g}
 on the integers; it drives both the increment covariance and the limiting
-constant. ``rho_array`` is its vectorized form. The two are kept apart on
-purpose: numpy's array ``pow`` can differ from libm's scalar ``pow`` in the
-last bit (seen with numpy 2.4 on AVX-512 CPUs), and perfbench/golden.json
-pins the outputs of both, so neither may replace the other where it is used.
+constant. ``rho_array`` is its vectorized form: it builds one table of
+x^{2g} over the lag range it is given (one array ``pow`` per distinct value,
+with an exact 0 at x = 0) and reads the three terms of every lag from it, in
+the same order of float operations as a masked ``pow`` per term. Scalar
+``rho`` stays separate on purpose: numpy's array ``pow`` can differ from
+libm's scalar ``pow`` in the last bit (seen with numpy 2.4 on AVX-512 CPUs),
+and perfbench/golden.json pins the outputs of both, so neither may replace
+the other where it is used.
 """
 
 from __future__ import annotations
@@ -108,16 +112,22 @@ def rho(gamma: float, c: int) -> float:
 
 
 def rho_array(gamma: float, c: np.ndarray) -> np.ndarray:
-    """``rho`` at an array of integer lags, with exact zeros at the cusp."""
-    a = np.abs(c).astype(float)
+    """``rho`` at an array of integer lags, with exact zeros at the cusp.
 
-    def p(x):
-        out = np.zeros_like(x)
-        nz = x > 0
-        out[nz] = x[nz] ** (2.0 * gamma)
-        return out
-
-    return p(a + 1) + p(np.abs(a - 1)) - 2.0 * p(a)
+    One ``pow`` per distinct value: p[x - lo] = x^{2 gamma} over the lag
+    range lo..hi that the three terms read, with p = 0 at x = 0. The table
+    starts at the smallest lag, so a block of lags far from 0 costs no more
+    than one near it.
+    """
+    a = np.abs(np.asarray(c, dtype=np.int64))
+    if a.size == 0:
+        return np.zeros(a.shape)
+    lo = max(int(a.min()) - 1, 0)
+    x = np.arange(lo, int(a.max()) + 2, dtype=float)
+    p = x ** (2.0 * gamma)
+    if lo == 0:
+        p[0] = 0.0
+    return p[a + 1 - lo] + p[np.abs(a - 1) - lo] - 2.0 * p[a - lo]
 
 
 def _check_index(n: int, *idx: int) -> None:

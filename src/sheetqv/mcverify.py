@@ -108,7 +108,10 @@ def exact_mean(h: HurstPair, f: WeightFunction, n: int, t: tuple[float, float]) 
     va = ((np.arange(1, n1 + 1) - 1.0) / n) ** (2.0 * h.alpha)
     vb = ((np.arange(1, n2 + 1) - 1.0) / n) ** (2.0 * h.beta)
     v = np.outer(va, vb)
-    e2 = np.vectorize(lambda vv: d2_mean_at(f, vv))(v)
+    if f.d2_mean is not None:  # closed forms take arrays; broadcast constants
+        e2 = np.broadcast_to(np.asarray(f.d2_mean(v), dtype=float), v.shape)
+    else:
+        e2 = np.vectorize(lambda vv: d2_mean_at(f, vv))(v)
     scale = float(n) ** (2.0 * (h.alpha + h.beta) - 1.0)
     return float(scale * np.sum(e2 * inner_sq))
 

@@ -29,7 +29,8 @@ class WeightFunction:
 
     ``m_closed`` is v -> E[f^2(N(0, v))] and ``d2_mean`` is
     v -> E[f''(N(0, v))], both optional closed forms; when absent they are
-    computed by Gauss-Hermite quadrature from ``func`` / ``d2``.
+    computed by Gauss-Hermite quadrature from ``func`` / ``d2``. ``d2_mean``
+    must also accept an array of variances (a scalar result is broadcast).
     ``satisfies_h`` marks weights smooth enough for theorem-verification runs.
     """
 

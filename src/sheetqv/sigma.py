@@ -14,6 +14,7 @@ mean-value form |rho_g(c)| <= 2g|2g-1| (|c|-1)^{2g-2} for |c| >= 2, giving
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,10 +23,15 @@ import numpy as np
 from .kernel import HurstPair, rho_array
 
 _CUTOFF_CAP = 10**8
+_BLOCK = 1 << 16  # lags per block of series terms: memory is O(block) at any cutoff
 
 
 class RegimeError(ValueError):
     """Raised when (alpha, beta) is outside the series-convergence regime."""
+
+
+class CutoffError(RuntimeError):
+    """Raised when the series misses its tolerance at the largest cutoff."""
 
 
 @dataclass(frozen=True)
@@ -49,11 +55,18 @@ def _check_regime(h: HurstPair) -> None:
 
 
 def _axis_sum_sq(gamma: float, cutoff: int) -> float:
-    """sum_{|c| <= cutoff} rho_gamma(c)^2 with compensated accumulation."""
-    c = np.arange(1, cutoff + 1)
-    terms = rho_array(gamma, c) ** 2
+    """sum_{|c| <= cutoff} rho_gamma(c)^2 with compensated accumulation.
+
+    The terms reach one ``math.fsum`` in blocks of ``_BLOCK`` lags, in the
+    order c = 1, 2, ..., cutoff, so the sum is the same float as that of one
+    list of all terms, without ever holding them all.
+    """
+    blocks = (
+        memoryview(rho_array(gamma, np.arange(lo, min(lo + _BLOCK, cutoff + 1))) ** 2)
+        for lo in range(1, cutoff + 1, _BLOCK)
+    )
     # rho(0) = 2 always; one-sided terms counted twice by symmetry
-    return 4.0 + 2.0 * math.fsum(terms.tolist())
+    return 4.0 + 2.0 * math.fsum(itertools.chain.from_iterable(blocks))
 
 
 def tail_constant(gamma: float) -> float:
@@ -70,7 +83,7 @@ def _axis_tail(gamma: float, cutoff: int) -> float:
     extra = 0.0
     if base > cutoff:
         c = np.arange(cutoff + 1, base + 1)
-        extra = 2.0 * math.fsum((rho_array(gamma, c) ** 2).tolist())
+        extra = 2.0 * math.fsum(memoryview(rho_array(gamma, c) ** 2))
     # integral comparison of sum_{c > base} (c-1)^{4g-4}
     integral = (base - 1.0) ** (4.0 * gamma - 3.0) / (3.0 - 4.0 * gamma)
     return extra + 2.0 * cg * cg * integral
@@ -82,7 +95,7 @@ def sigma_squared_partial(h: HurstPair, cutoff: int) -> SeriesResult:
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
     sa = _axis_sum_sq(h.alpha, cutoff)
-    sb = _axis_sum_sq(h.beta, cutoff)
+    sb = sa if h.beta == h.alpha else _axis_sum_sq(h.beta, cutoff)
     ta = _axis_tail(h.alpha, cutoff)
     tb = _axis_tail(h.beta, cutoff)
     value = 0.125 * sa * sb
@@ -92,7 +105,7 @@ def sigma_squared_partial(h: HurstPair, cutoff: int) -> SeriesResult:
 
 def sigma_series(h: HurstPair, tol: float) -> SeriesResult:
     """Partial sum of sigma^2 at the first cutoff in 4, 40, 400, ... whose
-    tail bound is at most tol * value; RuntimeError past a 10^8 cutoff.
+    tail bound is at most tol * value; CutoffError past a 10^8 cutoff.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -103,7 +116,7 @@ def sigma_series(h: HurstPair, tol: float) -> SeriesResult:
         if res.tail_bound <= tol * res.value:
             return res
         if cutoff >= _CUTOFF_CAP:
-            raise RuntimeError(
+            raise CutoffError(
                 f"series did not reach tolerance {tol} within cutoff {_CUTOFF_CAP}"
             )
         cutoff = min(cutoff * 10, _CUTOFF_CAP)

@@ -1,5 +1,6 @@
 """Command-line front end: outputs, exit codes, config merging, determinism."""
 
+import importlib
 import json
 import math
 
@@ -146,6 +147,12 @@ def test_unknown_subcommand_exit(capsys):
     assert main(["frobnicate"]) == EXIT_CONFIG
 
 
+def _rejected(capsys, *argv):
+    """Exit 2 with no report and a one-line reason."""
+    code, recs, err = run(capsys, *argv)
+    return code == EXIT_CONFIG and recs == [] and len(err.strip().splitlines()) == 1
+
+
 # --- verify ------------------------------------------------------------------------
 
 
@@ -200,12 +207,49 @@ def test_verify_failure_exit_code(capsys):
     ["--which", "mean", "--n-list", "8"],
     ["--which", "var", "--weight", "nope"],
     ["--which", "kernel-props", "--cases", "0"],
+    ["--which", "ks", "--n", "5000"],
+    ["--which", "var", "--n-list", "16", "5000"],
 ])
 def test_verify_rejects_unusable_input(capsys, argv):
-    code, recs, err = run(capsys, "verify", *argv, "--alpha", "0.35", "--beta", "0.35", "--seed", "1")
-    assert code == EXIT_CONFIG
-    assert recs == []
-    assert len(err.strip().splitlines()) == 1
+    assert _rejected(capsys, "verify", *argv, "--alpha", "0.35", "--beta", "0.35", "--seed", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "5000", "--seed", "1"],
+    ["sample", "--n", "8", "--seed", "-1"],
+    ["bench", "--n", "5000", "--seed", "1"],
+    ["sigma", "--tol", "0"],
+])
+def test_commands_reject_unusable_input(capsys, tmp_path, argv):
+    out = tmp_path / "out.csv"
+    extra = ["--out", str(out)] if argv[0] == "sample" else []
+    assert _rejected(capsys, *argv, "--alpha", "0.35", "--beta", "0.4", *extra)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,content", [
+    (["sigma"], '{"alpha": 0.35,'),
+    (["sigma"], '{"tol": "small"}'),
+    (["sample"], '{"n": 2.5, "seed": 1}'),
+    (["sample"], '{"n": true, "seed": 1}'),
+    (["sample"], '{"n": 8, "seed": "1"}'),
+    (["verify", "--which", "mean"], '{"n_list": 8, "seed": 1}'),
+    (["verify", "--which", "mean"], '{"n_list": [8, 16.5], "seed": 1}'),
+], ids=["malformed-json", "tol-string", "n-float", "n-bool", "seed-string", "n_list-scalar", "n_list-float"])
+def test_config_rejects_unusable_values(capsys, tmp_path, command, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    out = tmp_path / "out.csv"
+    extra = ["--out", str(out)] if command == ["sample"] else []
+    assert _rejected(capsys, *command, "--config", str(cfg), "--alpha", "0.35", "--beta", "0.4", *extra)
+    assert not out.exists()
+
+
+def test_sigma_cutoff_cap_exits_config_error(capsys, monkeypatch):
+    monkeypatch.setattr(importlib.import_module("sheetqv.sigma"), "_CUTOFF_CAP", 400)
+    h = ["--alpha", "0.7", "--beta", "0.7"]
+    assert _rejected(capsys, "sigma", *h)
+    assert _rejected(capsys, "verify", "--which", "var", *h, "--n-list", "2", "4", "--M", "2", "--seed", "1")
 
 
 def test_verify_unknown_suite(capsys):

@@ -12,6 +12,7 @@ from sheetqv.kernel import (
     k_gamma,
     point_rect_cov,
     rho,
+    rho_array,
 )
 
 H = HurstPair(0.35, 0.4)
@@ -135,6 +136,38 @@ def test_rho_explicit_value():
     assert rho(0.3, 5) == pytest.approx(expected, rel=1e-15)
     # second difference of a concave power is negative off the origin
     assert rho(0.3, 5) < 0
+
+
+def rho_array_masked(gamma, c):
+    """The former rho_array, one masked array pow per term: the bit oracle."""
+    a = np.abs(c).astype(float)
+
+    def p(x):
+        out = np.zeros_like(x)
+        nz = x > 0
+        out[nz] = x[nz] ** (2.0 * gamma)
+        return out
+
+    return p(a + 1) + p(np.abs(a - 1)) - 2.0 * p(a)
+
+
+def _lag_sets():
+    yield np.arange(-5, 6)  # holds 0 and +-1
+    yield np.array([1, 0, -1, 7, -7, 1])
+    yield np.arange(1, 2)
+    yield np.arange(3_999_990, 4_000_001)  # a block far from 0
+    yield -np.arange(10**8 - 70_000, 10**8)
+    for n in (1, 2, 64, 2048):
+        yield np.subtract.outer(np.arange(n), np.arange(n))
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.3, 0.35, 0.45, 0.5, 0.74])
+def test_rho_array_is_bit_identical_to_masked_pow(gamma):
+    for c in _lag_sets():
+        got = rho_array(gamma, c)
+        assert got.shape == c.shape
+        np.testing.assert_array_equal(got, rho_array_masked(gamma, c))
+    assert rho_array(gamma, np.arange(0)).shape == (0,)
 
 
 # --- incr_cov -------------------------------------------------------------------

@@ -15,6 +15,7 @@ from sheetqv.fieldsim import (
 from sheetqv.kernel import HurstPair
 from sheetqv.mcverify import (
     DEFAULT_LAMBDAS,
+    _corner_inner_1d,
     _corner_sums,
     bootstrap_se,
     build_Q,
@@ -31,7 +32,7 @@ from sheetqv.mcverify import (
     second_moment_limit,
     stable_convergence_check,
 )
-from sheetqv.qv import eval_qv, qv_process, weight
+from sheetqv.qv import WeightFunction, d2_mean_at, eval_qv, qv_process, weight
 from sheetqv.sigma import sigma
 
 H = HurstPair(0.35, 0.35)
@@ -106,6 +107,30 @@ def test_exact_mean_square_closed_form_and_bracket(a, b, n, t):
     lower = (share / 8.0 * max(0.0, 1.0 - 2.0 * n1 ** (2.0 * a - 1.0))
              * max(0.0, 1.0 - 2.0 * n2 ** (2.0 * b - 1.0)))
     assert lower <= normed <= share / 8.0
+
+
+def _exact_mean_per_cell(h, f, n, t):
+    """exact_mean with E[f''] evaluated cell by cell, as it once was."""
+    n1, n2 = math.floor(n * t[0]), math.floor(n * t[1])
+    da = _corner_inner_1d(h.alpha, n1, n)
+    db = _corner_inner_1d(h.beta, n2, n)
+    va = ((np.arange(1, n1 + 1) - 1.0) / n) ** (2.0 * h.alpha)
+    vb = ((np.arange(1, n2 + 1) - 1.0) / n) ** (2.0 * h.beta)
+    e2 = np.vectorize(lambda vv: d2_mean_at(f, vv))(np.outer(va, vb))
+    scale = float(n) ** (2.0 * (h.alpha + h.beta) - 1.0)
+    return float(scale * np.sum(e2 * np.outer(da * da, db * db)))
+
+
+@pytest.mark.parametrize("t", [(1.0, 1.0), (0.5, 1.0)])
+@pytest.mark.parametrize("kind", ["square", "cosine", "identity", "constant_one", "quadrature"])
+def test_exact_mean_equals_per_cell_oracle(kind, t):
+    if kind == "quadrature":  # no closed form: E[f''] by Gauss-Hermite, cell by cell
+        f, sizes = WeightFunction("cos_by_quadrature", func=np.cos, d2=lambda x: -np.cos(x)), (8, 16)
+    else:
+        f, sizes = weight(kind), (8, 64, 257)
+    h = HurstPair(0.35, 0.4)
+    for n in sizes:
+        assert exact_mean(h, f, n, t) == _exact_mean_per_cell(h, f, n, t)
 
 
 def test_exact_mean_degenerate_time():

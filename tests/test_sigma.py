@@ -1,16 +1,26 @@
 """Limiting-constant series: exact values, bracketing, and regime checks."""
 
+import importlib
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from sheetqv.kernel import HurstPair
+from sheetqv.kernel import HurstPair, rho_array
 from sheetqv.sigma import (
+    _BLOCK,
+    CutoffError,
     RegimeError,
+    _axis_sum_sq,
     sigma,
+    sigma_series,
     sigma_squared_partial,
     tail_constant,
 )
+
+# the package re-exports the function sigma, which hides the module attribute
+sigma_module = importlib.import_module("sheetqv.sigma")
 
 # Frozen references computed by direct two-sided summation of
 # (1/8) (sum_c rho_a(c)^2)(sum_d rho_b(d)^2) out to |c| = 2e6 with fsum.
@@ -95,3 +105,38 @@ def test_sigma_tolerance_is_honored():
     tight = sigma(h, 1e-10) ** 2
     assert loose <= tight <= SIGMA2_035_035 * (1 + 1e-8)
     assert abs(tight - SIGMA2_035_035) <= 1e-9 * SIGMA2_035_035
+
+
+def _axis_sum_sq_one_list(gamma, cutoff):
+    """The axis sum with every term in one list: the streamed sum's oracle."""
+    terms = rho_array(gamma, np.arange(1, cutoff + 1)) ** 2
+    return 4.0 + 2.0 * math.fsum(terms.tolist())
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 4, 40, 400, 4_000, 40_000, 400_000, 4_000_000])
+def test_streamed_axis_sum_equals_one_list_fsum(cutoff):
+    assert _axis_sum_sq(0.35, cutoff) == _axis_sum_sq_one_list(0.35, cutoff)
+
+
+@pytest.mark.parametrize("block", [7, _BLOCK])
+@pytest.mark.parametrize("gamma", [0.3, 0.45])
+def test_streamed_axis_sum_at_block_boundaries(monkeypatch, gamma, block):
+    monkeypatch.setattr(sigma_module, "_BLOCK", block)
+    for cutoff in (block - 1, block, block + 1, 2 * block, 3 * block + 1, 40_000):
+        assert _axis_sum_sq(gamma, cutoff) == _axis_sum_sq_one_list(gamma, cutoff)
+
+
+def test_axis_sum_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        _axis_sum_sq(0.4, 4_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_cutoff_cap_raises(monkeypatch):
+    monkeypatch.setattr(sigma_module, "_CUTOFF_CAP", 400)
+    with pytest.raises(CutoffError, match="within cutoff 400"):
+        sigma_series(HurstPair(0.7, 0.7), 1e-10)
