@@ -60,11 +60,37 @@ class ConfigError(Exception):
     pass
 
 
-_INTEGER_OPTIONS = ("n", "seed", "M", "cases")  # flags with type=int; n_list holds ints
-
-
 def _is_integer(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    # finite as a float: rejects nan, +-inf and integers too large to convert
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _is_point(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(_is_number(x) and 0.0 <= x <= 1.0 for x in v)
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and len(v) > 0 and all(map(ok, v))
+
+
+# argparse types the flags; config values get the same checks. points and
+# lambda_grid have no flag, so a config file is their only source.
+_CONFIG_TYPES = {
+    "n": ("an integer", _is_integer),
+    "seed": ("an integer", _is_integer),
+    "M": ("an integer", _is_integer),
+    "cases": ("an integer", _is_integer),
+    "n_list": ("a non-empty list of integers", _list_of(_is_integer)),
+    "alpha": ("a finite number", _is_number),
+    "beta": ("a finite number", _is_number),
+    "tol": ("a finite number", _is_number),
+    "points": ("a non-empty list of [s, t] points in the unit square", _list_of(_is_point)),
+    "lambda_grid": ("a non-empty list of finite numbers", _list_of(_is_number)),
+}
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -77,14 +103,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 raise ConfigError(f"config file {args.config} is not valid JSON: {e}") from e
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-        # argparse types the flags; config values get the same integer check
-        for k in _INTEGER_OPTIONS:
-            if k in cfg and not _is_integer(cfg[k]):
-                raise ConfigError(f"config value {k!r} must be an integer, got {cfg[k]!r}")
-        if "n_list" in cfg and not (
-            isinstance(cfg["n_list"], list) and all(map(_is_integer, cfg["n_list"]))
-        ):
-            raise ConfigError(f"config value 'n_list' must be a list of integers, got {cfg['n_list']!r}")
+        for k, (kind, ok) in _CONFIG_TYPES.items():
+            if k in cfg and not ok(cfg[k]):
+                raise ConfigError(f"config value {k!r} must be {kind}, got {cfg[k]!r}")
     for k, v in vars(args).items():
         if k in ("command", "config"):
             continue
@@ -113,11 +134,11 @@ def _hurst(cfg: dict) -> HurstPair:
 
 def cmd_sigma(cfg: dict) -> int:
     h = _hurst(cfg)
-    tol = cfg.get("tol", 1e-10)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol > 0:
+    tol = float(cfg.get("tol", 1e-10))
+    if not tol > 0:
         raise ConfigError(f"--tol must be a positive number, got {tol!r}")
     try:
-        res = sigma_series(h, float(tol))
+        res = sigma_series(h, tol)
     except RegimeError as e:
         _note(f"regime error: {e}")
         return EXIT_CONFIG
@@ -155,8 +176,7 @@ def cmd_sample(cfg: dict) -> int:
     elif fmt == "csv":
         with open(cfg["out"], "w") as fh:
             fh.write(f"{field.n},{field.hurst.alpha:.17g},{field.hurst.beta:.17g}\n")
-            for row in field.values:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fieldsim.write_csv_rows(fh, field.values, "\n")
     else:
         raise ConfigError(f"unknown format {fmt!r}")
     _note(f"wrote {fmt} field dump to {cfg['out']}")
@@ -240,6 +260,9 @@ def cmd_verify(cfg: dict) -> int:
         f = _weight(cfg, "cosine")
         points = [tuple(p) for p in cfg.get("points", [(0.5, 1.0), (1.0, 0.5)])]
         lam = mcverify.lambda_product_grid(len(points), cfg.get("lambda_grid", mcverify.DEFAULT_LAMBDAS))
+        bound = mcverify.MAX_CHARFN_LAMBDA
+        if np.abs(lam).max() > bound:
+            raise ConfigError(f"--which charfn needs lambda_grid values in [-{bound:g}, {bound:g}]")
         run = lambda nn, slack: mcverify.charfn_compare(h, f, points, lam, nn, m_reps, seed, slack)
         r_small, r_large, shrinks = _two_scale(run, n // 2, n)
         r_large.passed = bool(r_large.passed and shrinks)

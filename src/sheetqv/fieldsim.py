@@ -80,10 +80,24 @@ class GridField:
     stream_key: tuple | None = field(default=None, compare=False)
 
 
+def _window_rows(v: np.ndarray, width: int, starts: slice) -> np.ndarray:
+    """Rows v[s : s + width] for the window starts ``range(len(v) - width + 1)[starts]``.
+
+    The entries are copied, not recomputed, into a C-contiguous array: a
+    negative-stride view handed to ``@`` may take another BLAS path and
+    change the bits of the product.
+    """
+    return np.lib.stride_tricks.sliding_window_view(v, width)[starts].copy()
+
+
 def increment_cov_1d(gamma: float, n: int) -> np.ndarray:
-    """The n x n matrix M^gamma[i,k] = n^{-2 gamma} rho_gamma(k-i) / 2."""
-    lags = np.subtract.outer(np.arange(n), np.arange(n))
-    return 0.5 * float(n) ** (-2.0 * gamma) * rho_array(gamma, lags)
+    """The n x n matrix M^gamma[i,k] = n^{-2 gamma} rho_gamma(k-i) / 2.
+
+    Only the n values at lags 0..n-1 are evaluated. Row i of the Toeplitz
+    matrix is the window starting at n-1-i of (r[n-1], ..., r[1], r[0], ..., r[n-1]).
+    """
+    r = 0.5 * float(n) ** (-2.0 * gamma) * rho_array(gamma, np.arange(n))
+    return _window_rows(np.concatenate([r[:0:-1], r]), n, slice(None, None, -1))
 
 
 def factor_1d(gamma: float, n: int, method: str = "cholesky") -> np.ndarray:
@@ -113,9 +127,9 @@ def factor_1d(gamma: float, n: int, method: str = "cholesky") -> np.ndarray:
         # symmetric circulant square root; its first n rows give F with
         # F F^T equal to the leading n x n block of the embedding, i.e. M^gamma
         b = np.fft.ifft(np.sqrt(lam)).real
+        # F[i, j] = b[(j - i) mod 2n]: row i is the window of (b, b) starting at 2n - i
         m = 2 * n
-        idx = (np.arange(m)[None, :] - np.arange(n)[:, None]) % m
-        return b[idx]
+        return _window_rows(np.concatenate([b, b]), m, slice(m, m - n, -1))
     raise ValueError(f"unknown factorization method {method!r}")
 
 
@@ -162,7 +176,9 @@ def prefix_nodes(values: np.ndarray) -> np.ndarray:
     (..., n+1, m+1) whose first row and column are zero.
     """
     out = np.zeros(values.shape[:-2] + (values.shape[-2] + 1, values.shape[-1] + 1))
-    out[..., 1:, 1:] = values.cumsum(axis=-2).cumsum(axis=-1)
+    nodes = out[..., 1:, 1:]
+    np.cumsum(values, axis=-2, out=nodes)
+    np.cumsum(nodes, axis=-1, out=nodes)
     return out
 
 
@@ -195,6 +211,17 @@ def write_field(path, f: GridField) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(f.values.astype("<f8").tobytes(order="C"))
+
+
+def write_csv_rows(fh, rows: np.ndarray, end: str) -> None:
+    """Write each row of a 2-D array as one line of %.17g values joined by commas.
+
+    One ``%`` per row over a template built once; each row is converted to
+    Python floats on its own, so no list of the whole array is ever held.
+    """
+    template = ",".join(["%.17g"] * rows.shape[1]) + end
+    for row in rows:
+        fh.write(template % tuple(row.tolist()))
 
 
 def read_field(path) -> GridField:

@@ -28,6 +28,7 @@ _CHUNK = 256
 _BOOT_RESAMPLES = 200
 
 DEFAULT_LAMBDAS = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
+MAX_CHARFN_LAMBDA = 5.0
 
 
 @dataclass
@@ -362,8 +363,8 @@ def charfn_compare(
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim == 1:
         lam = lam[:, None]
-    if np.abs(lam).max() > 5.0:
-        raise ValueError("lambda grid must satisfy |lambda| <= 5 per coordinate")
+    if np.abs(lam).max() > MAX_CHARFN_LAMBDA:
+        raise ValueError(f"lambda grid must satisfy |lambda| <= {MAX_CHARFN_LAMBDA:g} per coordinate")
     sigma_val = sigma_of(h, 1e-10)
 
     xs, _ = qv_point_samples(h, f, n, M, seed, points)

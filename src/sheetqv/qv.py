@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fieldsim import GridField, IncrementField, prefix_nodes
+from .fieldsim import GridField, IncrementField, prefix_nodes, write_csv_rows
 from .kernel import HurstPair
 from .quadrature import gauss_hermite_mean
 
@@ -177,9 +177,10 @@ def limit_sample(
 
 
 def write_qv_csv(path, p: QVProcess) -> None:
-    """CSV dump: one header row (n, alpha, beta, weight kind), then row-major values."""
+    """CSV dump: one header row (n, alpha, beta, weight kind), then row-major values.
+
+    Lines end in CRLF, the line ending of the csv module's default dialect.
+    """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([p.n, repr(p.hurst.alpha), repr(p.hurst.beta), p.weight_kind])
-        for row in p.partial_sums:
-            w.writerow([f"{v:.17g}" for v in row])
+        csv.writer(fh).writerow([p.n, repr(p.hurst.alpha), repr(p.hurst.beta), p.weight_kind])
+        write_csv_rows(fh, p.partial_sums, "\r\n")

@@ -1,0 +1,48 @@
+"""pytest-benchmark timings of the large-field path: factor assembly and CSV output.
+
+Not collected by a plain ``pytest`` run (the file is not named ``test_*``).
+Run it by name from the repository root:
+
+    PYTHONPATH=src python -m pytest tests/bench_large_field.py --benchmark-only
+
+The sizes are those of the benchmark's ``large_field`` workload: factors at
+n = 2048 (its ``sample`` operations), the statistic's CSV at n = 1024 (its
+``qv`` operation).
+"""
+
+import pytest
+
+from sheetqv.fieldsim import (
+    PURPOSE_SHEET,
+    factor_1d,
+    field_from_increments,
+    increment_cov_1d,
+    replication_rng,
+    sample_increments,
+)
+from sheetqv.kernel import HurstPair
+from sheetqv.qv import qv_process, weight, write_qv_csv
+
+H = HurstPair(0.35, 0.4)
+
+
+def test_increment_cov_1d_n2048(benchmark):
+    m = benchmark(increment_cov_1d, H.alpha, 2048)
+    assert m.shape == (2048, 2048)
+
+
+def test_circulant_factor_n2048(benchmark):
+    f = benchmark(factor_1d, H.alpha, 2048, "circulant")
+    assert f.shape == (2048, 4096)
+
+
+@pytest.fixture(scope="module")
+def statistic_n1024():
+    inc = sample_increments(H, 1024, replication_rng(3, 0, PURPOSE_SHEET))
+    return qv_process(field_from_increments(inc), inc, weight("cosine"))
+
+
+def test_write_qv_csv_n1024(benchmark, tmp_path, statistic_n1024):
+    path = tmp_path / "qv.csv"
+    benchmark(write_qv_csv, path, statistic_n1024)
+    assert path.stat().st_size > 0

@@ -7,10 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from sheetqv import fieldsim
 from sheetqv.cli import EXIT_CONFIG, EXIT_OK, EXIT_TEST_FAILURE, main
 from sheetqv.fieldsim import read_field
 from sheetqv.kernel import HurstPair
 from sheetqv.sigma import sigma_series
+
+
+H_FLAGS = ["--alpha", "0.35", "--beta", "0.4"]
 
 
 def run(capsys, *argv):
@@ -80,6 +84,37 @@ def test_sample_csv_deterministic(capsys, tmp_path):
     assert a.read_text() == b.read_text()
     header = a.read_text().splitlines()[0]
     assert header.startswith("6,")
+
+
+# values whose %.17g text is easy to get wrong: nan, infinities, signed zero,
+# the smallest subnormal and numbers near the largest double
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0, -2.5e-17])
+
+
+def _per_value_csv(field) -> bytes:
+    """Reference: the header, then one f-string per value joined row by row."""
+    text = f"{field.n},{field.hurst.alpha:.17g},{field.hurst.beta:.17g}\n"
+    text += "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in field.values)
+    return text.encode()
+
+
+@pytest.mark.parametrize("special", [False, True], ids=["sampled", "special-values"])
+def test_sample_csv_bytes_equal_per_value_format(capsys, tmp_path, monkeypatch, special):
+    written = []
+    real = fieldsim.field_from_increments
+
+    def field_from_increments(inc):
+        field = real(inc)
+        if special:
+            field.values = np.resize(SPECIAL, field.values.shape)
+        written.append(field)
+        return field
+
+    monkeypatch.setattr(fieldsim, "field_from_increments", field_from_increments)
+    out = tmp_path / "field.csv"
+    code, _, _ = run(capsys, "sample", *H_FLAGS, "--n", "16", "--seed", "5", "--out", str(out))
+    assert code == EXIT_OK
+    assert out.read_bytes() == _per_value_csv(written[0])
 
 
 def test_sample_methods_differ_but_both_run(capsys, tmp_path):
@@ -227,21 +262,42 @@ def test_commands_reject_unusable_input(capsys, tmp_path, argv):
     assert not out.exists()
 
 
+SMALL_MC = ["--n", "4", "--M", "2", "--seed", "1"]  # cheap if a bad value ever got through
+CHARFN = ["verify", "--which", "charfn", *SMALL_MC]
+HURST = '"alpha": 0.35, "beta": 0.35'
+
+
 @pytest.mark.parametrize("command,content", [
-    (["sigma"], '{"alpha": 0.35,'),
-    (["sigma"], '{"tol": "small"}'),
-    (["sample"], '{"n": 2.5, "seed": 1}'),
-    (["sample"], '{"n": true, "seed": 1}'),
-    (["sample"], '{"n": 8, "seed": "1"}'),
-    (["verify", "--which", "mean"], '{"n_list": 8, "seed": 1}'),
-    (["verify", "--which", "mean"], '{"n_list": [8, 16.5], "seed": 1}'),
-], ids=["malformed-json", "tol-string", "n-float", "n-bool", "seed-string", "n_list-scalar", "n_list-float"])
+    (["sigma", *H_FLAGS], '{"alpha": 0.35,'),
+    (["sigma", *H_FLAGS], '{"tol": "small"}'),
+    (["sample", *H_FLAGS], '{"n": 2.5, "seed": 1}'),
+    (["sample", *H_FLAGS], '{"n": true, "seed": 1}'),
+    (["sample", *H_FLAGS], '{"n": 8, "seed": "1"}'),
+    (["verify", "--which", "mean", *H_FLAGS], '{"n_list": 8, "seed": 1}'),
+    (["verify", "--which", "mean", *H_FLAGS], '{"n_list": [8, 16.5], "seed": 1}'),
+    (["verify", "--which", "var", *H_FLAGS, "--M", "2"], '{"n_list": [], "seed": 1}'),
+    (["sigma"], '{"alpha": [0.3], "beta": 0.4}'),
+    (["sigma"], '{"alpha": 0.35, "beta": "0.4"}'),
+    (["sigma"], '{"alpha": 1%s, "beta": 0.4}' % ("0" * 400)),
+    (CHARFN, '{%s, "points": "abc"}' % HURST),
+    (CHARFN, '{%s, "points": [[0.5]]}' % HURST),
+    (CHARFN, '{%s, "points": [[1.5, 0.5]]}' % HURST),
+    (CHARFN, '{%s, "lambda_grid": []}' % HURST),
+    (CHARFN, '{%s, "lambda_grid": [1.0, 10.0]}' % HURST),
+    (["verify", "--which", "stable", *SMALL_MC], '{%s, "lambda_grid": "abc"}' % HURST),
+    (["verify", "--which", "stable", *SMALL_MC], '{%s, "lambda_grid": [NaN]}' % HURST),
+], ids=[
+    "malformed-json", "tol-string", "n-float", "n-bool", "seed-string", "n_list-scalar",
+    "n_list-float", "n_list-empty", "alpha-list", "beta-string", "alpha-huge-int",
+    "points-string", "points-short", "points-outside", "lambda_grid-empty",
+    "lambda_grid-charfn-bound", "lambda_grid-string", "lambda_grid-nan",
+])
 def test_config_rejects_unusable_values(capsys, tmp_path, command, content):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(content)
     out = tmp_path / "out.csv"
-    extra = ["--out", str(out)] if command == ["sample"] else []
-    assert _rejected(capsys, *command, "--config", str(cfg), "--alpha", "0.35", "--beta", "0.4", *extra)
+    extra = ["--out", str(out)] if command[0] == "sample" else []
+    assert _rejected(capsys, *command, "--config", str(cfg), *extra)
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Exact sampler: factorizations, covariance agreement, determinism, I/O."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sheetqv.fieldsim import (
     factor_1d,
     field_from_increments,
     increment_cov_1d,
+    prefix_nodes,
     read_field,
     replication_rng,
     sample_increments,
@@ -18,7 +20,7 @@ from sheetqv.fieldsim import (
     sample_white_increments,
     write_field,
 )
-from sheetqv.kernel import HurstPair, cov_point, incr_cov
+from sheetqv.kernel import HurstPair, cov_point, incr_cov, rho_array
 
 H = HurstPair(0.35, 0.4)
 
@@ -45,6 +47,52 @@ def test_factor_reconstructs_covariance(method, gamma):
     got = fac @ fac.T
     want = increment_cov_1d(gamma, n)
     assert np.abs(got - want).max() < 1e-14
+
+
+def _lag_matrix_cov_1d(gamma, n):
+    """Reference: rho_array over the full n x n matrix of lags."""
+    lags = np.subtract.outer(np.arange(n), np.arange(n))
+    return 0.5 * float(n) ** (-2.0 * gamma) * rho_array(gamma, lags)
+
+
+def _index_gather_circulant_factor(gamma, n):
+    """Reference: the circulant factor gathered as b[(j - i) mod 2n] by an (n, 2n) index."""
+    r = 0.5 * float(n) ** (-2.0 * gamma) * rho_array(gamma, np.arange(n + 1))
+    lam = np.clip(np.fft.fft(np.concatenate([r, r[-2:0:-1]])).real, 0.0, None)
+    b = np.fft.ifft(np.sqrt(lam)).real
+    m = 2 * n
+    return b[(np.arange(m)[None, :] - np.arange(n)[:, None]) % m]
+
+
+ASSEMBLY_NS = [1, 2, 3, 64, 1024, 2048]
+ASSEMBLY_GAMMAS = [0.05, 0.35, 0.4, 0.5, 0.74]
+
+
+@pytest.mark.parametrize("n", ASSEMBLY_NS)
+@pytest.mark.parametrize("gamma", ASSEMBLY_GAMMAS)
+def test_toeplitz_covariance_is_bit_identical_to_lag_matrix(gamma, n):
+    got = increment_cov_1d(gamma, n)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, _lag_matrix_cov_1d(gamma, n))
+
+
+@pytest.mark.parametrize("n", ASSEMBLY_NS)
+@pytest.mark.parametrize("gamma", ASSEMBLY_GAMMAS)
+def test_circulant_factor_is_bit_identical_to_index_gather(gamma, n):
+    got = factor_1d(gamma, n, "circulant")
+    assert got.shape == (n, 2 * n) and got.flags.c_contiguous
+    assert np.array_equal(got, _index_gather_circulant_factor(gamma, n))
+
+
+def test_increment_cov_1d_memory_is_one_matrix():
+    # the n x n result is 32 MB; a lag matrix and its gathers would be 160 MB
+    tracemalloc.start()
+    try:
+        increment_cov_1d(0.35, 2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 def test_factor_shapes():
@@ -152,6 +200,26 @@ def test_field_from_increments_axes_and_recovery():
     rediff = np.diff(np.diff(field.values, axis=0), axis=1)
     assert np.abs(rediff - inc.values).max() < 1e-13
     assert field.stream_key == inc.stream_key
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (5, 3), (6, 6), (3, 1, 1), (4, 5, 5), (2, 3, 4, 2)])
+def test_prefix_nodes_is_a_zero_padded_double_cumsum(shape):
+    values = np.random.default_rng(1).standard_normal(shape)
+    nodes = prefix_nodes(values)
+    assert nodes.shape == shape[:-2] + (shape[-2] + 1, shape[-1] + 1)
+    assert np.array_equal(nodes[..., 1:, 1:], values.cumsum(-2).cumsum(-1))
+    assert not nodes[..., 0, :].any() and not nodes[..., :, 0].any()
+
+
+def test_prefix_nodes_allocates_only_its_result():
+    values = np.random.default_rng(2).standard_normal((4, 256, 256))
+    tracemalloc.start()
+    try:
+        nodes = prefix_nodes(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * nodes.nbytes  # two cumsum temporaries would make it 3x
 
 
 def test_white_increment_scale():

@@ -221,3 +221,28 @@ def test_write_qv_csv_roundtrip(tmp_path):
     assert rows[0] == ["5", repr(H.alpha), repr(H.beta), "square"]
     vals = np.array([[float(v) for v in row] for row in rows[1:]])
     assert np.array_equal(vals, p.partial_sums)  # 17 digits round-trip exactly
+
+
+# values whose %.17g text is easy to get wrong: nan, infinities, signed zero,
+# the smallest subnormal and numbers near the largest double
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0, -2.5e-17])
+
+
+def _csv_writer_qv_csv(path, p):
+    """Reference: one csv.writer row per partial-sum row, one f-string per value."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow([p.n, repr(p.hurst.alpha), repr(p.hurst.beta), p.weight_kind])
+        for row in p.partial_sums:
+            w.writerow([f"{v:.17g}" for v in row])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+@pytest.mark.parametrize("special", [False, True], ids=["sampled", "special-values"])
+def test_write_qv_csv_bytes_equal_csv_writer_rows(tmp_path, n, special):
+    p = qv_process(*make_sample(n=n, seed=4), weight("cosine"))
+    if special:
+        p.partial_sums = np.resize(SPECIAL, p.partial_sums.shape)
+    write_qv_csv(tmp_path / "got.csv", p)
+    _csv_writer_qv_csv(tmp_path / "want.csv", p)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
