@@ -77,8 +77,16 @@ def _list_of(ok):
     return lambda v: isinstance(v, list) and len(v) > 0 and all(map(ok, v))
 
 
-# argparse types the flags; config values get the same checks. points and
-# lambda_grid have no flag, so a config file is their only source.
+def _one_of(choices):
+    return f"one of {', '.join(choices)}", lambda v: isinstance(v, str) and v in choices
+
+
+_METHODS = ("cholesky", "circulant")
+_Z_KINDS = ("cos_corner", "indicator_center")
+
+
+# argparse types the flags and checks their choices; config values get the same
+# checks. points and lambda_grid have no flag, so a config file is their only source.
 _CONFIG_TYPES = {
     "n": ("an integer", _is_integer),
     "seed": ("an integer", _is_integer),
@@ -90,6 +98,8 @@ _CONFIG_TYPES = {
     "tol": ("a finite number", _is_number),
     "points": ("a non-empty list of [s, t] points in the unit square", _list_of(_is_point)),
     "lambda_grid": ("a non-empty list of finite numbers", _list_of(_is_number)),
+    "method": _one_of(_METHODS),
+    "z_kind": _one_of(_Z_KINDS),
 }
 
 
@@ -342,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sample", help="simulate one sheet field and dump it")
     common(sp)
     sp.add_argument("--n", type=int)
-    sp.add_argument("--method", choices=["cholesky", "circulant"])
+    sp.add_argument("--method", choices=_METHODS)
     sp.add_argument("--format", choices=["csv", "bin"])
     sp.add_argument("--out")
 
     sp = sub.add_parser("qv", help="compute the statistic's partial sums")
     common(sp)
     sp.add_argument("--n", type=int)
-    sp.add_argument("--method", choices=["cholesky", "circulant"])
+    sp.add_argument("--method", choices=_METHODS)
     sp.add_argument("--weight")
     sp.add_argument("--out")
 
@@ -360,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-list", dest="n_list", type=int, nargs="+")
     sp.add_argument("--M", type=int)
     sp.add_argument("--weight")
-    sp.add_argument("--z-kind", dest="z_kind", choices=["cos_corner", "indicator_center"])
+    sp.add_argument("--z-kind", dest="z_kind", choices=_Z_KINDS)
     sp.add_argument("--cases", type=int)
 
     sp = sub.add_parser("bench", help="time the sampler paths and the statistic")

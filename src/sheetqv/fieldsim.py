@@ -141,7 +141,8 @@ def standard_normals(seed: int, first: int, reps: int, purpose: int, shape: tupl
     """
     z = np.empty((reps, *shape))
     for b in range(reps):
-        z[b] = replication_rng(seed, first + b, purpose).generator.standard_normal(shape)
+        # filled in place: the same draws as standard_normal(shape), without a copy
+        replication_rng(seed, first + b, purpose).generator.standard_normal(out=z[b])
     return z
 
 
@@ -169,13 +170,15 @@ def sample_increments_batch(
     return fa @ standard_normals(seed, 0, reps, purpose, (fa.shape[1], fb.shape[1])) @ fb.T
 
 
-def prefix_nodes(values: np.ndarray) -> np.ndarray:
+def prefix_nodes(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """2D prefix sums over the last two axes, zero-padded in front of each.
 
     Cell values of shape (..., n, m) give node values of shape
-    (..., n+1, m+1) whose first row and column are zero.
+    (..., n+1, m+1) whose first row and column are zero. A given ``out`` of
+    that shape must already hold those zeros; it is filled and returned.
     """
-    out = np.zeros(values.shape[:-2] + (values.shape[-2] + 1, values.shape[-1] + 1))
+    if out is None:
+        out = np.zeros(values.shape[:-2] + (values.shape[-2] + 1, values.shape[-1] + 1))
     nodes = out[..., 1:, 1:]
     np.cumsum(values, axis=-2, out=nodes)
     np.cumsum(nodes, axis=-1, out=nodes)
@@ -210,7 +213,8 @@ def write_field(path, f: GridField) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(f.values.astype("<f8").tobytes(order="C"))
+        # the buffer of a C-contiguous little-endian array is the dump itself: no copy
+        fh.write(np.ascontiguousarray(f.values, dtype="<f8"))
 
 
 def write_csv_rows(fh, rows: np.ndarray, end: str) -> None:

@@ -12,6 +12,7 @@ rule.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -24,7 +25,11 @@ from .quadrature import gauss_legendre_2d
 from .sigma import sigma as sigma_of
 
 PURPOSE_BOOT = 2
-_CHUNK = 256
+# Bytes that all chunks in flight may hold at once; the chunk size follows
+# from it at every n, so memory stays bounded however large n is. 16 MiB
+# (20 replications per chunk at n = 64) kept the Monte Carlo suites' peak
+# RSS within 1% of the serial loop's; 24 MiB added about 2%.
+_CHUNK_BUDGET = 16 << 20
 _BOOT_RESAMPLES = 200
 
 DEFAULT_LAMBDAS = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
@@ -160,15 +165,75 @@ def mean_decay(
 # chunked sheet sampling
 
 
-def _node_chunks(h, n, seed, M, rep_offset=0, purpose=PURPOSE_SHEET, method="cholesky"):
-    """Yield raw increments and (n+1)x(n+1) node arrays in chunks of reps."""
+def _rep_bytes(n: int, method: str) -> int:
+    """Bytes one replication holds while its chunk is in flight.
+
+    The draws Z, the half product F_alpha Z, and six cell-sized arrays: the
+    increments, the nodes and the temporaries of a chunk's work.
+    """
+    m = n if method == "cholesky" else 2 * n
+    return 8 * (m * m + n * m + 6 * (n + 1) ** 2)
+
+
+def _chunk_reps(n: int, method: str) -> int:
+    """Replications per chunk so that three chunks fit _CHUNK_BUDGET (at least 1).
+
+    Three are in flight at most: the worker's, one drawn and waiting for it,
+    and the one the calling thread finishes itself.
+    """
+    return max(1, _CHUNK_BUDGET // (3 * _rep_bytes(n, method)))
+
+
+def _node_chunks(h, n, seed, M, work, rep_offset=0, purpose=PURPOSE_SHEET, method="cholesky"):
+    """Run ``work(inc, nodes, rows)`` over replications rep_offset .. rep_offset+M-1 in chunks.
+
+    ``work`` gets a chunk's increments (size, n, n), its nodes (size, n+1, n+1)
+    and the slice of 0 .. M-1 they belong to, and writes its results into
+    those rows of the caller's preallocated outputs.
+
+    The calling thread draws every chunk (building the streams holds the GIL)
+    and queues it for the one worker thread, which forms the products, the
+    prefix sums and ``work``. When the worker has two unfinished chunks, the
+    calling thread finishes the chunk itself instead, so it never waits for
+    the worker before the end. ``work`` may thus run on either thread and must
+    touch no shared state but its own rows. The stream contract makes every
+    chunk size and every split between the threads give the same bits.
+
+    Each thread writes its chunks' products and nodes into its own set of
+    buffers. With fresh arrays per chunk (about 0.5 MB each at n = 64) glibc
+    returned their pages and faulted them in again for every chunk.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # only the Monte Carlo suites need it
+
     fa = factor_1d(h.alpha, n, method)
     fb = factor_1d(h.beta, n, method)
     shape = (fa.shape[1], fb.shape[1])
-    for start in range(0, M, _CHUNK):
-        size = min(_CHUNK, M - start)
-        inc = fa @ standard_normals(seed, rep_offset + start, size, purpose, shape) @ fb.T
-        yield inc, prefix_nodes(inc)
+    size = _chunk_reps(n, method)
+    reps = min(size, M)
+
+    def buffers():
+        return np.empty((reps, n, shape[1])), np.empty((reps, n, n)), np.zeros((reps, n + 1, n + 1))
+
+    def finish(z, bufs, chunk):
+        half, inc, nodes = (b[: z.shape[0]] for b in bufs)
+        np.matmul(fa, z, out=half)
+        np.matmul(half, fb.T, out=inc)
+        work(inc, prefix_nodes(inc, out=nodes), chunk)
+
+    own, lent = buffers(), buffers()
+    pending = deque()  # the worker's unfinished chunks, in order
+    with ThreadPoolExecutor(1) as pool:
+        for start in range(0, M, size):
+            chunk = slice(start, min(start + size, M))
+            z = standard_normals(seed, rep_offset + start, chunk.stop - start, purpose, shape)
+            while pending and pending[0].done():
+                pending.popleft().result()  # raises what the worker raised
+            if len(pending) < 2:
+                pending.append(pool.submit(finish, z, lent, chunk))
+            else:
+                finish(z, own, chunk)
+        for future in pending:
+            future.result()
 
 
 def _point_indices(n: int, points) -> np.ndarray:
@@ -217,18 +282,20 @@ def qv_point_samples(
 
     Returns (X, Z) where X has shape (M, m). Z collects per-replication
     sheet functionals when ``sheet_functional`` (nodes -> (size,) array) is
-    given, else None.
+    given, else None. ``sheet_functional`` runs one chunk of replications at
+    a time, on the calling thread or on a worker thread, so it must not touch
+    state shared with the caller.
     """
     idx = _point_indices(n, points)
     xs = np.empty((M, len(points)))
     zs = np.empty(M) if sheet_functional is not None else None
-    row = 0
-    for inc, nodes in _node_chunks(h, n, seed, M, rep_offset=rep_offset, method=method):
-        size = inc.shape[0]
-        xs[row : row + size] = _corner_sums(summands(h, nodes, inc, f), idx) / n
+
+    def work(inc, nodes, rows):
+        xs[rows] = _corner_sums(summands(h, nodes, inc, f), idx) / n
         if zs is not None:
-            zs[row : row + size] = sheet_functional(nodes)
-        row += size
+            zs[rows] = sheet_functional(nodes)
+
+    _node_chunks(h, n, seed, M, work, rep_offset=rep_offset, method=method)
     return xs, zs
 
 
@@ -291,15 +358,15 @@ def _q_quadform_samples(h, f, n, M, seed, rep_offset, points, sigma_val, lambdas
     pairs = _pair_indices(_point_indices(n, points))
     m = len(points)
     lam = np.asarray(lambdas)  # (L, m)
+
     out = np.empty((M, lam.shape[0]))
-    row = 0
-    for _, nodes in _node_chunks(h, n, seed, M, rep_offset=rep_offset):
-        size = nodes.shape[0]
-        q = _f2_sums(f, nodes, pairs).reshape(size, m, m)
+
+    def work(_, nodes, rows):
+        q = _f2_sums(f, nodes, pairs).reshape(nodes.shape[0], m, m)
         q *= sigma_val**2 / (n * n)
-        quad = np.einsum("la,rab,lb->rl", lam, q, lam)
-        out[row : row + size] = np.exp(-0.5 * quad)
-        row += size
+        out[rows] = np.exp(-0.5 * np.einsum("la,rab,lb->rl", lam, q, lam))
+
+    _node_chunks(h, n, seed, M, work, rep_offset=rep_offset)
     return out
 
 
@@ -421,12 +488,12 @@ def stable_convergence_check(
     idx = _point_indices(n, [t])
     zr = np.empty(M)
     vr = np.empty(M)
-    row = 0
-    for _, nodes in _node_chunks(h, n, seed, M, rep_offset=M):
-        size = nodes.shape[0]
-        zr[row : row + size] = functional(nodes)
-        vr[row : row + size] = _f2_sums(f, nodes, idx)[:, 0] / (n * n)
-        row += size
+
+    def work(_, nodes, rows):
+        zr[rows] = functional(nodes)
+        vr[rows] = _f2_sums(f, nodes, idx)[:, 0] / (n * n)
+
+    _node_chunks(h, n, seed, M, work, rep_offset=M)
     right_samples = zr[:, None] * np.exp(-0.5 * np.outer(vr, lam**2) * sigma_val**2)
     right = right_samples.mean(axis=0)
     right_se = bootstrap_se(right_samples, seed + 1)

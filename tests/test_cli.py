@@ -286,11 +286,14 @@ HURST = '"alpha": 0.35, "beta": 0.35'
     (CHARFN, '{%s, "lambda_grid": [1.0, 10.0]}' % HURST),
     (["verify", "--which", "stable", *SMALL_MC], '{%s, "lambda_grid": "abc"}' % HURST),
     (["verify", "--which", "stable", *SMALL_MC], '{%s, "lambda_grid": [NaN]}' % HURST),
+    (["sample", *H_FLAGS], '{"n": 8, "seed": 1, "method": "fft"}'),
+    (["verify", "--which", "stable", *SMALL_MC], '{%s, "z_kind": "nope"}' % HURST),
 ], ids=[
     "malformed-json", "tol-string", "n-float", "n-bool", "seed-string", "n_list-scalar",
     "n_list-float", "n_list-empty", "alpha-list", "beta-string", "alpha-huge-int",
     "points-string", "points-short", "points-outside", "lambda_grid-empty",
-    "lambda_grid-charfn-bound", "lambda_grid-string", "lambda_grid-nan",
+    "lambda_grid-charfn-bound", "lambda_grid-string", "lambda_grid-nan", "method-unknown",
+    "z_kind-unknown",
 ])
 def test_config_rejects_unusable_values(capsys, tmp_path, command, content):
     cfg = tmp_path / "cfg.json"

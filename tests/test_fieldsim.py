@@ -8,6 +8,7 @@ import pytest
 
 from sheetqv.fieldsim import (
     PURPOSE_DRIVER,
+    GridField,
     PURPOSE_SHEET,
     factor_1d,
     field_from_increments,
@@ -237,6 +238,23 @@ def test_field_roundtrip_binary(tmp_path):
     assert back.n == 10
     assert back.hurst == H
     assert np.array_equal(back.values, field.values)
+
+
+def test_write_field_copies_nothing(tmp_path):
+    values = np.random.default_rng(4).standard_normal((1025, 1025))
+    path = tmp_path / "field.bin"
+    tracemalloc.start()
+    try:
+        write_field(path, GridField(1024, values, H))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * values.nbytes  # astype, then tobytes, made it 2x
+    assert path.read_bytes()[16:] == values.astype("<f8").tobytes()
+    # arrays that are not C-contiguous little-endian still give row-major <f8 bytes
+    for other in (values[:9, :9].T, values[:9, :9].astype(">f8")):
+        write_field(path, GridField(8, other, H))
+        assert path.read_bytes()[16:] == other.astype("<f8").tobytes(order="C")
 
 
 def test_read_field_rejects_garbage(tmp_path):

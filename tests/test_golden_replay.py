@@ -2,8 +2,9 @@
 
 The benchmark checks these outputs too; this keeps the check in the test
 suite, so a change that moves the last bit of sigma, of the exact means, of
-a sampled field or of the statistic's CSV fails here first. Both files are
-only read; output files go to a temporary directory.
+a sampled field, of the statistic's CSV or of a Monte Carlo suite, whose
+chunks run on worker threads, fails here first. Both files are only read;
+output files go to a temporary directory.
 """
 
 import hashlib
@@ -25,15 +26,24 @@ GOLDEN = GOLDEN_ALL["analytic"]
 OPS = {op.name: op for op in operations("analytic", GOLDEN_SEED)}
 REPLAYED = [name for name, op in OPS.items() if op.command == "sigma"] + ["verify_mean"]
 LARGE_OPS = {op.name: op for op in operations("large_field", GOLDEN_SEED)}
+MC_OPS = {op.name: op for op in operations("mc_verify", GOLDEN_SEED)}
 
 
-@pytest.mark.parametrize("name", REPLAYED)
-def test_analytic_operation_matches_golden(capsys, name):
-    op, golden = OPS[name], GOLDEN[name]
+def _replay(capsys, op, golden):
     assert list(op.argv) == golden["argv"]
     code = main(list(op.argv))
     assert code == golden["exit"]
     assert capsys.readouterr().out == golden["stdout"]
+
+
+@pytest.mark.parametrize("name", REPLAYED)
+def test_analytic_operation_matches_golden(capsys, name):
+    _replay(capsys, OPS[name], GOLDEN[name])
+
+
+@pytest.mark.parametrize("name", ["verify_ks", "verify_var"])
+def test_mc_verify_operation_matches_golden(capsys, name):
+    _replay(capsys, MC_OPS[name], GOLDEN_ALL["mc_verify"][name])
 
 
 @pytest.mark.parametrize("name", ["sample_cholesky", "qv_csv"])

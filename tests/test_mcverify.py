@@ -1,11 +1,16 @@
 """Verification harness: exact moments, MC machinery, and pass rules."""
 
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from sheetqv import mcverify
 from sheetqv.fieldsim import (
     PURPOSE_SHEET,
     field_from_increments,
@@ -15,8 +20,11 @@ from sheetqv.fieldsim import (
 from sheetqv.kernel import HurstPair
 from sheetqv.mcverify import (
     DEFAULT_LAMBDAS,
+    _chunk_reps,
     _corner_inner_1d,
     _corner_sums,
+    _q_quadform_samples,
+    _rep_bytes,
     bootstrap_se,
     build_Q,
     charfn_compare,
@@ -190,13 +198,15 @@ def test_qv_point_samples_match_qv_process():
 
 
 def test_point_samples_equal_qv_process_across_chunks():
-    # both statistic paths give the same bits, also past the 256-replication
-    # chunk boundary and at points on an axis
+    # both statistic paths give the same bits, also on both sides of the first
+    # chunk boundary the executor picks at this n, and at points on an axis
     f = weight("cosine")
     n, seed, offset = 8, 61, 7
+    size = _chunk_reps(n, "cholesky")
+    M = size + 44
     points = [(0.0, 0.4), (1.0, 1.0), (0.5, 0.75), (0.3, 1.0)]
-    xs, _ = qv_point_samples(H, f, n, 300, seed, points, rep_offset=offset)
-    for r in (0, 255, 256, 299):
+    xs, _ = qv_point_samples(H, f, n, M, seed, points, rep_offset=offset)
+    for r in (0, size - 1, size, M - 1):
         inc = sample_increments(H, n, replication_rng(seed, offset + r, PURPOSE_SHEET))
         p = qv_process(field_from_increments(inc), inc, f)
         assert np.array_equal(xs[r], [eval_qv(p, s, t) for s, t in points])
@@ -206,6 +216,141 @@ def test_point_samples_equal_qv_process_across_chunks():
     idx = [(i, j) for i in range(8) for j in range(10)]
     want = np.stack([full[:, i - 1, j - 1] if i and j else np.zeros(3) for i, j in idx], axis=-1)
     assert np.array_equal(_corner_sums(a, idx), want)
+
+
+def _set_chunk_reps(monkeypatch, n, reps):
+    """Set the budget so that the executor picks ``reps`` replications per chunk at n."""
+    monkeypatch.setattr(mcverify, "_CHUNK_BUDGET", reps * 3 * _rep_bytes(n, "cholesky"))
+    assert _chunk_reps(n, "cholesky") == reps
+
+
+def _schedule_outputs(n, M, seed):
+    """Outputs of the three callers of the chunk executor."""
+    f = weight("cosine")
+    points = [(1.0, 1.0), (0.5, 0.75)]
+    xs, zs = qv_point_samples(H, f, n, M, seed, points, sheet_functional=lambda nodes: nodes[:, -1, -1])
+    quad = _q_quadform_samples(H, f, n, M, seed, M, points, 0.7, lambda_product_grid(2, (-1.0, 0.5)))
+    stable = stable_convergence_check(H, weight("identity"), (1.0, 1.0), "cos_corner", [0.0, 1.0], n, M, seed)
+    return xs, zs, quad, stable.to_dict()
+
+
+def test_chunk_schedule_gives_identical_results(monkeypatch):
+    # chunk sizes 1, 7 and the whole range
+    n, M, seed = 6, 23, 71
+    monkeypatch.setattr(mcverify, "sigma_of", lambda h, tol: 0.7)  # the series is not under test
+    want = _schedule_outputs(n, M, seed)
+    for reps in (1, 7, M):
+        _set_chunk_reps(monkeypatch, n, reps)
+        got = _schedule_outputs(n, M, seed)
+        for a, b in zip(got[:3], want[:3]):
+            assert np.array_equal(a, b)
+        assert got[3] == want[3]
+
+
+def test_one_replication_per_chunk_keeps_replication_order(monkeypatch):
+    # the interpreter switching threads as often as it can: results still
+    # come back in order
+    n, M, seed = 4, 40, 5
+    f = weight("cosine")
+    want, _ = qv_point_samples(H, f, n, M, seed, [(1.0, 1.0)])
+    _set_chunk_reps(monkeypatch, n, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got, _ = qv_point_samples(H, f, n, M, seed, [(1.0, 1.0)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("method", ["cholesky", "circulant"])
+@pytest.mark.parametrize("n", [16, 64, 1024, 4096])
+def test_chunks_in_flight_fit_the_budget(method, n):
+    # arithmetic only: the oversized fields are never drawn
+    size = _chunk_reps(n, method)
+    assert size >= 1
+    assert 3 * size * _rep_bytes(n, method) <= mcverify._CHUNK_BUDGET or size == 1
+    assert 3 * (size + 1) * _rep_bytes(n, method) > mcverify._CHUNK_BUDGET
+    m = n if method == "cholesky" else 2 * n
+    assert _rep_bytes(n, method) >= 8 * (m * m + (n + 1) ** 2)  # at least the draws and the nodes
+
+
+def test_worker_exception_propagates_and_threads_end(monkeypatch):
+    def fails(x):
+        raise ArithmeticError("weight failed")
+
+    # one replication per chunk, so the next chunk is drawn when it raises
+    _set_chunk_reps(monkeypatch, 4, 1)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="weight failed"):
+        qv_point_samples(H, WeightFunction("fails", func=fails), 4, 50, 3, [(1.0, 1.0)])
+    assert threading.active_count() == before
+
+    # a failure on the worker alone, which always gets the first chunk:
+    # with one chunk it is seen at the end, with more on the way
+    caller = threading.get_ident()
+
+    def work(inc, nodes, rows):
+        if threading.get_ident() != caller:
+            raise ArithmeticError("worker failed")
+
+    for M in (1, 50):
+        with pytest.raises(ArithmeticError, match="worker failed"):
+            mcverify._node_chunks(H, 4, 3, M, work)
+    assert threading.active_count() == before
+
+
+def test_chunks_reuse_one_set_of_buffers_per_thread(monkeypatch):
+    # every chunk, the short last one too, lands in its thread's increment and
+    # node buffers
+    n, M, seed = 6, 23, 71
+    _set_chunk_reps(monkeypatch, n, 5)
+    seen = {}
+    corner = np.empty(M)
+
+    def work(inc, nodes, rows):
+        key = (inc.__array_interface__["data"][0], nodes.__array_interface__["data"][0])
+        seen.setdefault(threading.get_ident(), set()).add(key)
+        corner[rows] = nodes[:, -1, -1]
+
+    mcverify._node_chunks(H, n, seed, M, work)
+    assert all(len(keys) == 1 for keys in seen.values())
+    want = [sample_increments(H, n, replication_rng(seed, r, PURPOSE_SHEET)).values.sum() for r in range(M)]
+    np.testing.assert_allclose(corner, want, rtol=1e-12)
+
+
+def test_calling_thread_finishes_chunks_while_the_worker_is_busy(monkeypatch):
+    # the worker sleeps through its first chunk, so the calling thread must
+    # finish the others itself; every row still gets its own replication
+    n, M, seed = 4, 30, 9
+    _set_chunk_reps(monkeypatch, n, 3)
+    caller = threading.get_ident()
+    ran_on = []
+    corner = np.empty(M)
+
+    def work(inc, nodes, rows):
+        ran_on.append(threading.get_ident())
+        if ran_on[-1] != caller and ran_on.count(ran_on[-1]) == 1:
+            time.sleep(0.2)
+        corner[rows] = nodes[:, -1, -1]
+
+    mcverify._node_chunks(H, n, seed, M, work)
+    assert ran_on.count(caller) >= 5 and len(set(ran_on)) == 2
+    want = [sample_increments(H, n, replication_rng(seed, r, PURPOSE_SHEET)).values.sum() for r in range(M)]
+    np.testing.assert_allclose(corner, want, rtol=1e-12)
+
+
+def test_zero_replications_give_empty_samples(monkeypatch):
+    # and the executor asks for no core count, which not every platform has
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    f = weight("cosine")
+    points = [(1.0, 1.0), (0.5, 0.75)]
+    xs, zs = qv_point_samples(H, f, 6, 0, 3, points, sheet_functional=lambda nodes: nodes[:, -1, -1])
+    assert xs.shape == (0, 2) and zs.shape == (0,)
+    quad = _q_quadform_samples(H, f, 6, 0, 3, 0, points, 0.7, lambda_product_grid(2, (-1.0, 0.5)))
+    assert quad.shape == (0, 4)
+    xs, zs = qv_point_samples(H, f, 6, 3, 3, points)
+    assert xs.shape == (3, 2) and zs is None
 
 
 def test_qv_point_samples_rep_offset_disjoint():
