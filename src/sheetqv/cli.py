@@ -294,6 +294,10 @@ def cmd_verify(cfg: dict) -> int:
         reports += mcverify.kernel_property_suite(cases, seed)
     else:
         raise ConfigError(f"unknown verify suite {which!r}")
+    if which in ("var", "ks", "charfn", "stable") and not (h.admissible() and f.satisfies_h):
+        # the limit theorem does not cover this run, so its pass supports nothing
+        for r in reports:
+            r.extra["admissible"] = False
 
     all_pass = True
     for r in reports:

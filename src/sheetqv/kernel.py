@@ -13,14 +13,21 @@ The sheet W has tensor-product covariance
 with K^g(a,b) = (a^{2g} + b^{2g} - |a-b|^{2g}) / 2, and vanishes whenever
 either coordinate is zero. ``rho`` is the second difference of x -> x^{2g}
 on the integers; it drives both the increment covariance and the limiting
-constant. ``rho_array`` is its vectorized form: it builds one table of
-x^{2g} over the lag range it is given (one array ``pow`` per distinct value,
-with an exact 0 at x = 0) and reads the three terms of every lag from it, in
-the same order of float operations as a masked ``pow`` per term. Scalar
-``rho`` stays separate on purpose: numpy's array ``pow`` can differ from
-libm's scalar ``pow`` in the last bit (seen with numpy 2.4 on AVX-512 CPUs),
-and perfbench/golden.json pins the outputs of both, so neither may replace
-the other where it is used.
+constant.
+
+Scalar and array calls
+----------------------
+``k_gamma``, ``cov_point``, ``rho``, ``incr_cov``, ``point_rect_cov`` and
+``delta_incr_inner`` take scalars or numpy arrays (a ``HurstPair`` or
+``Rect`` may hold arrays) and check their domains elementwise. Their powers
+go through ``np.float_power``, whose float64 loop calls libm's ``pow`` as
+Python's ``**`` does, so an array call equals the per-element scalar calls
+bit for bit. ``np.power`` may instead dispatch to a SIMD kernel (numpy 2.4 on
+AVX-512 CPUs) that differs from libm in the last bit. ``rho_array``, which
+reads every lag from one ``np.power`` table of x^{2g} (exact 0 at x = 0), and
+the oracle of ``mcverify.kernel_property_suite`` use it. perfbench/golden.json
+pins the outputs of both paths, so neither may replace the other where it is
+used.
 """
 
 from __future__ import annotations
@@ -30,18 +37,37 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _failing(ok, *vals):
+    """The elements of ``vals`` at the first place where the check ``ok`` fails."""
+    at = np.argmin(ok)
+    return tuple(np.broadcast_to(v, np.shape(ok)).flat[at] for v in vals)
+
+
+def _check_hurst(name: str, v) -> None:
+    ok = (0.0 < v) & (v < 1.0)
+    if not np.all(ok):
+        raise ValueError(f"{name} must lie in (0,1), got {_failing(ok, v)[0]}")
+
+
+def _check_point(p) -> None:
+    ok = (0.0 <= p[0]) & (p[0] <= 1.0) & (0.0 <= p[1]) & (p[1] <= 1.0)
+    if not np.all(ok):
+        raise ValueError("point ({}, {}) outside the unit square".format(*_failing(ok, *p)))
+
+
 @dataclass(frozen=True)
 class HurstPair:
-    """Pair of Hurst indices (alpha, beta), each in (0, 1)."""
+    """Pair of Hurst indices (alpha, beta), each in (0, 1).
+
+    Both may be arrays of one shape, for the elementwise kernel calls.
+    """
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError(f"beta must lie in (0,1), got {self.beta}")
+        _check_hurst("alpha", self.alpha)
+        _check_hurst("beta", self.beta)
 
     def admissible(self) -> bool:
         """True iff alpha < 1/2, beta < 1/2 and alpha + beta > 1/2.
@@ -68,19 +94,17 @@ class Rect:
     t2: float
 
     def __post_init__(self):
-        if not (self.s1 <= self.t1 and self.s2 <= self.t2):
+        if not np.all((self.s1 <= self.t1) & (self.s2 <= self.t2)):
             raise ValueError("rectangle coordinates must satisfy s1<=t1, s2<=t2")
         for v in (self.s1, self.t1, self.s2, self.t2):
-            if not (0.0 <= v <= 1.0):
+            if not np.all((0.0 <= v) & (v <= 1.0)):
                 raise ValueError("rectangle must lie inside the unit square")
 
 
-def _pow2g(x: float, gamma: float) -> float:
-    # |x|^{2*gamma} with the x == 0 case short-circuited so no 0**neg issues
-    # can arise and the result is an exact 0.
-    if x == 0.0:
-        return 0.0
-    return abs(x) ** (2.0 * gamma)
+def _pow2g(x, gamma):
+    # |x|^{2 gamma} by libm's pow, as Python's ** computes it; an exact 0 at
+    # x == 0, since 2 gamma > 0.
+    return np.float_power(np.abs(x), 2.0 * gamma)
 
 
 def k_gamma(gamma: float, s1: float, s2: float) -> float:
@@ -88,8 +112,7 @@ def k_gamma(gamma: float, s1: float, s2: float) -> float:
 
     K^gamma(s,s) = s^{2 gamma}; gamma = 1/2 recovers min(s1, s2).
     """
-    if not (0.0 < gamma < 1.0):
-        raise ValueError(f"gamma must lie in (0,1), got {gamma}")
+    _check_hurst("gamma", gamma)
     return 0.5 * (_pow2g(s1, gamma) + _pow2g(s2, gamma) - _pow2g(s1 - s2, gamma))
 
 
@@ -97,9 +120,8 @@ def cov_point(
     h: HurstPair, p1: tuple[float, float], p2: tuple[float, float]
 ) -> float:
     """Covariance of the sheet at two points of the unit square."""
-    for p in (p1, p2):
-        if not (0.0 <= p[0] <= 1.0 and 0.0 <= p[1] <= 1.0):
-            raise ValueError(f"point {p} outside the unit square")
+    _check_point(p1)
+    _check_point(p2)
     return k_gamma(h.alpha, p1[0], p2[0]) * k_gamma(h.beta, p1[1], p2[1])
 
 
@@ -132,8 +154,9 @@ def rho_array(gamma: float, c: np.ndarray) -> np.ndarray:
 
 def _check_index(n: int, *idx: int) -> None:
     for v in idx:
-        if not (1 <= v <= n):
-            raise IndexError(f"index {v} out of range 1..{n}")
+        ok = (1 <= v) & (v <= n)
+        if not np.all(ok):
+            raise IndexError("index {} out of range 1..{}".format(*_failing(ok, v, n)))
 
 
 def incr_cov(h: HurstPair, n: int, i: int, j: int, k: int, l: int) -> float:
@@ -143,7 +166,7 @@ def incr_cov(h: HurstPair, n: int, i: int, j: int, k: int, l: int) -> float:
     variance of a single cell increment is n^{-2(alpha+beta)}.
     """
     _check_index(n, i, j, k, l)
-    scale = float(n) ** (-2.0 * (h.alpha + h.beta))
+    scale = np.float_power(n, -2.0 * (h.alpha + h.beta))
     return 0.25 * scale * rho(h.alpha, k - i) * rho(h.beta, l - j)
 
 
@@ -154,8 +177,7 @@ def point_rect_cov(h: HurstPair, l: tuple[float, float], r: Rect) -> float:
     For alpha, beta < 1/2 the absolute value is bounded by
     |t1-s1|^{2 alpha} |t2-s2|^{2 beta}.
     """
-    if not (0.0 <= l[0] <= 1.0 and 0.0 <= l[1] <= 1.0):
-        raise ValueError(f"point {l} outside the unit square")
+    _check_point(l)
     d1 = k_gamma(h.alpha, l[0], r.t1) - k_gamma(h.alpha, l[0], r.s1)
     d2 = k_gamma(h.beta, l[1], r.t2) - k_gamma(h.beta, l[1], r.s2)
     return d1 * d2

@@ -69,7 +69,7 @@ class VerifyReport:
 def _rho_sq_weighted(gamma: float, count: int) -> float:
     """sum over i,k in 1..count of rho_gamma(k-i)^2 via lag counts."""
     c = np.arange(-(count - 1), count)
-    r = np.array([rho(gamma, int(v)) for v in c])
+    r = rho(gamma, c)
     return float(np.sum((count - np.abs(c)) * r * r))
 
 
@@ -555,8 +555,9 @@ def kernel_property_suite(cases: int, seed: int) -> list[VerifyReport]:
     Three reports: increment covariance vs its signed cov_point expansion,
     the corner-rectangle inner product vs the same oracle, and the
     |t1-s1|^{2a} |t2-s2|^{2b} bound on point/rectangle covariances in the
-    admissible regime. The oracle side is a vectorized tensor-product
-    expansion independent of the lag-based path it checks.
+    admissible regime. The kernel functions under test are called once each,
+    on arrays holding every case. The oracle side is a vectorized
+    tensor-product expansion independent of the lag-based path it checks.
     """
     from .kernel import delta_incr_inner, incr_cov
 
@@ -576,12 +577,8 @@ def kernel_property_suite(cases: int, seed: int) -> list[VerifyReport]:
         )
 
     oracle_incr = axis_incr_cov(alphas, ns, ii, kk) * axis_incr_cov(betas, ns, jj, ll)
-    direct_incr = np.array(
-        [
-            incr_cov(HurstPair(alphas[c], betas[c]), int(ns[c]), int(ii[c]), int(jj[c]), int(kk[c]), int(ll[c]))
-            for c in range(cases)
-        ]
-    )
+    h = HurstPair(alphas, betas)
+    direct_incr = incr_cov(h, ns, ii, jj, kk, ll)
     worst_incr = float(np.abs(direct_incr - oracle_incr).max())
 
     def axis_point_incr(gamma, n, p, b):
@@ -591,12 +588,7 @@ def kernel_property_suite(cases: int, seed: int) -> list[VerifyReport]:
     oracle_delta = axis_point_incr(alphas, ns, (kk - 1) / ns, ii) * axis_point_incr(
         betas, ns, (ll - 1) / ns, jj
     )
-    direct_delta = np.array(
-        [
-            delta_incr_inner(HurstPair(alphas[c], betas[c]), int(ns[c]), int(kk[c]), int(ll[c]), int(ii[c]), int(jj[c]))
-            for c in range(cases)
-        ]
-    )
+    direct_delta = delta_incr_inner(h, ns, kk, ll, ii, jj)
     worst_delta = float(np.abs(direct_delta - oracle_delta).max())
 
     # Lemma-style bound on randomized continuous rectangles

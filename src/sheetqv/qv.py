@@ -36,7 +36,6 @@ class WeightFunction:
 
     kind: str
     func: Callable
-    d1: Callable | None = None
     d2: Callable | None = None
     m_closed: Callable | None = None
     d2_mean: Callable | None = None
@@ -49,7 +48,6 @@ def weight(kind: str, table: tuple | None = None) -> WeightFunction:
         return WeightFunction(
             kind,
             func=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            d1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             m_closed=lambda v: 1.0,
             d2_mean=lambda v: 0.0,
@@ -58,7 +56,6 @@ def weight(kind: str, table: tuple | None = None) -> WeightFunction:
         return WeightFunction(
             kind,
             func=lambda x: np.asarray(x, dtype=float),
-            d1=lambda x: np.ones_like(np.asarray(x, dtype=float)),
             d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             m_closed=lambda v: v,
             d2_mean=lambda v: 0.0,
@@ -67,7 +64,6 @@ def weight(kind: str, table: tuple | None = None) -> WeightFunction:
         return WeightFunction(
             kind,
             func=lambda x: np.asarray(x, dtype=float) ** 2,
-            d1=lambda x: 2.0 * np.asarray(x, dtype=float),
             d2=lambda x: 2.0 * np.ones_like(np.asarray(x, dtype=float)),
             m_closed=lambda v: 3.0 * v * v,  # E[X^4] for X ~ N(0,v)
             d2_mean=lambda v: 2.0,
@@ -76,7 +72,6 @@ def weight(kind: str, table: tuple | None = None) -> WeightFunction:
         return WeightFunction(
             kind,
             func=np.cos,
-            d1=lambda x: -np.sin(x),
             d2=lambda x: -np.cos(x),
             m_closed=lambda v: 0.5 * (1.0 + np.exp(-2.0 * v)),
             d2_mean=lambda v: -np.exp(-0.5 * v),

@@ -1,4 +1,5 @@
-"""pytest-benchmark timings of the analytic layer: sigma and the exact mean.
+"""pytest-benchmark timings of the analytic layer: sigma, the exact mean and
+the kernel property suite.
 
 Not collected by a plain ``pytest`` run (the file is not named ``test_*``).
 Run it by name from the repository root:
@@ -6,13 +7,14 @@ Run it by name from the repository root:
     PYTHONPATH=src python -m pytest tests/bench_analytic.py --benchmark-only
 
 The sigma pairs and tolerance are those of the benchmark's ``analytic``
-workload; ``exact_mean`` runs at its largest grid, n = 2048.
+workload; ``exact_mean`` runs at its largest grid, n = 2048, and the kernel
+property suite at the workload's 100,000 cases and golden seed.
 """
 
 import pytest
 
 from sheetqv.kernel import HurstPair
-from sheetqv.mcverify import exact_mean
+from sheetqv.mcverify import exact_mean, kernel_property_suite
 from sheetqv.qv import weight
 from sheetqv.sigma import sigma_series
 
@@ -27,3 +29,8 @@ def test_sigma_series(benchmark, alpha, beta):
 def test_exact_mean_n2048(benchmark, kind):
     mean = benchmark(exact_mean, HurstPair(0.35, 0.35), weight(kind), 2048, (1.0, 1.0))
     assert mean != 0.0
+
+
+def test_kernel_property_suite_100k(benchmark):
+    reports = benchmark(kernel_property_suite, 100_000, 101)
+    assert all(r.passed for r in reports)

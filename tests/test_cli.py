@@ -1,5 +1,6 @@
 """Command-line front end: outputs, exit codes, config merging, determinism."""
 
+import dataclasses
 import importlib
 import json
 import math
@@ -220,6 +221,32 @@ def test_verify_ks_small(capsys):
     )
     assert code == EXIT_OK
     assert recs[0]["extra"]["p_value"] > 1e-3
+
+
+_KS_ARGV = ("verify", "--which", "ks", "--M", "200", "--n", "8", "--seed", "1")
+
+
+@pytest.mark.parametrize("alpha,beta,labelled", [
+    ("0.2", "0.25", True),  # alpha + beta < 1/2: outside the limit theorem
+    ("0.35", "0.35", False),
+])
+def test_verify_labels_runs_outside_the_theorem(capsys, alpha, beta, labelled):
+    code, recs, _ = run(capsys, *_KS_ARGV, "--alpha", alpha, "--beta", beta)
+    assert code == EXIT_OK  # the label leaves the exit code alone
+    if labelled:
+        assert recs[0]["extra"]["admissible"] is False
+    else:
+        assert "admissible" not in recs[0]["extra"]
+
+
+def test_verify_labels_every_record_of_a_weight_outside_h(capsys, monkeypatch):
+    cli = importlib.import_module("sheetqv.cli")
+    plain = cli.qvmod.weight
+    monkeypatch.setattr(cli.qvmod, "weight", lambda kind: dataclasses.replace(plain(kind), satisfies_h=False))
+    monkeypatch.setattr(cli.mcverify, "sigma_of", lambda h, tol: 1.0)
+    _, recs, _ = run(capsys, "verify", "--which", "stable", *H_FLAGS, "--M", "20", "--n", "4", "--seed", "1")
+    assert len(recs) == 2
+    assert all(r["extra"]["admissible"] is False for r in recs)
 
 
 def test_verify_failure_exit_code(capsys):

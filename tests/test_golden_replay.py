@@ -2,8 +2,9 @@
 
 The benchmark checks these outputs too; this keeps the check in the test
 suite, so a change that moves the last bit of sigma, of the exact means, of
-a sampled field, of the statistic's CSV or of a Monte Carlo suite, whose
-chunks run on worker threads, fails here first. Both files are only read;
+the kernel property suite's estimates, of a sampled field, of the
+statistic's CSV or of a Monte Carlo suite, whose chunks run on worker
+threads, fails here first. Both files are only read;
 output files go to a temporary directory.
 """
 
@@ -24,7 +25,7 @@ from sheetqv.cli import main  # noqa: E402
 GOLDEN_ALL = json.loads((ROOT / "perfbench" / "golden.json").read_text())
 GOLDEN = GOLDEN_ALL["analytic"]
 OPS = {op.name: op for op in operations("analytic", GOLDEN_SEED)}
-REPLAYED = [name for name, op in OPS.items() if op.command == "sigma"] + ["verify_mean"]
+REPLAYED = [name for name, op in OPS.items() if op.command == "sigma"] + ["verify_mean", "verify_kernel_props"]
 LARGE_OPS = {op.name: op for op in operations("large_field", GOLDEN_SEED)}
 MC_OPS = {op.name: op for op in operations("mc_verify", GOLDEN_SEED)}
 

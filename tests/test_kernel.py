@@ -290,6 +290,128 @@ def test_delta_incr_inner_randomized_oracle_and_bound():
         assert abs(got) <= n ** (-2 * (h.alpha + h.beta)) + 1e-12
 
 
+# --- array calls ----------------------------------------------------------------------
+
+
+def _pow2g_before(x, gamma):
+    return 0.0 if x == 0.0 else abs(x) ** (2.0 * gamma)
+
+
+def _rho_before(gamma, c):
+    return _pow2g_before(c + 1, gamma) + _pow2g_before(c - 1, gamma) - 2.0 * _pow2g_before(c, gamma)
+
+
+def _k_before(gamma, s1, s2):
+    return 0.5 * (_pow2g_before(s1, gamma) + _pow2g_before(s2, gamma) - _pow2g_before(s1 - s2, gamma))
+
+
+def _incr_cov_before(h, n, i, j, k, l):
+    """The scalar formulas as they were before array calls: Python floats and **."""
+    scale = float(n) ** (-2.0 * (h.alpha + h.beta))
+    return 0.25 * scale * _rho_before(h.alpha, k - i) * _rho_before(h.beta, l - j)
+
+
+def _delta_incr_inner_before(h, n, k, l, i, j):
+    p1, p2 = (k - 1) / n, (l - 1) / n
+    d1 = _k_before(h.alpha, p1, i / n) - _k_before(h.alpha, p1, (i - 1) / n)
+    d2 = _k_before(h.beta, p2, j / n) - _k_before(h.beta, p2, (j - 1) / n)
+    return d1 * d2
+
+
+def _random_cases(seed, size=2000):
+    """Admissible (alpha, beta), grid sizes and 1-based indices (i, j, k, l).
+
+    A third of the cases have n in {1, 2, 32}; half have lags k - i and l - j
+    in {-1, 0, 1}; every seventh has i = 1, k = n, j = n and l = 1.
+    """
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.05, 0.49, (2, 4 * size))
+    keep = a + b > 0.5
+    alpha, beta = a[keep][:size], b[keep][:size]
+    n = rng.integers(1, 33, size)
+    n[: size // 3] = rng.choice([1, 2, 32], size // 3)
+    i, j = rng.integers(1, n + 1), rng.integers(1, n + 1)
+    near = rng.uniform(size=size) < 0.5
+    k = np.where(near, np.clip(i + rng.integers(-1, 2, size), 1, n), rng.integers(1, n + 1))
+    l = np.where(near, np.clip(j + rng.integers(-1, 2, size), 1, n), rng.integers(1, n + 1))
+    i[::7], k[::7], j[::7], l[::7] = 1, n[::7], n[::7], 1
+    assert {-1, 0, 1} <= set(k - i) and {-1, 0, 1} <= set(l - j)
+    assert {1, 2, 32} <= set(n) and np.any((i == 1) & (k == n))
+    return alpha, beta, n, i, j, k, l
+
+
+def _scalar_cases(cases):
+    """Each case as (HurstPair, n, i, j, k, l) of Python floats and ints."""
+    for a, b, *idx in zip(*(v.tolist() for v in cases)):
+        yield HurstPair(a, b), *idx
+
+
+@pytest.mark.parametrize("seed", [65, 101])
+def test_array_calls_equal_the_per_case_scalar_loop(seed):
+    cases = _random_cases(seed)
+    alpha, beta, n, i, j, k, l = cases
+    h = HurstPair(alpha, beta)
+    per_case_incr = [incr_cov(*c) for c in _scalar_cases(cases)]
+    per_case_delta = [delta_incr_inner(hh, nn, kk, ll, ii, jj) for hh, nn, ii, jj, kk, ll in _scalar_cases(cases)]
+    assert np.array_equal(incr_cov(h, n, i, j, k, l), per_case_incr)
+    assert np.array_equal(delta_incr_inner(h, n, k, l, i, j), per_case_delta)
+    assert np.array_equal(rho(alpha, k - i), [rho(a, c) for a, c in zip(alpha.tolist(), (k - i).tolist())])
+
+
+def _bits(x):
+    return float(x).hex()
+
+
+def test_scalar_calls_return_the_same_floats_as_before():
+    for c in _scalar_cases(_random_cases(7, size=1000)):
+        h, n, i, j, k, l = c
+        assert _bits(incr_cov(*c)) == _bits(_incr_cov_before(*c))
+        inner = (h, n, k, l, i, j)
+        assert _bits(delta_incr_inner(*inner)) == _bits(_delta_incr_inner_before(*inner))
+        assert _bits(rho(h.alpha, k - i)) == _bits(_rho_before(h.alpha, k - i))
+        assert _bits(k_gamma(h.beta, (l - 1) / n, j / n)) == _bits(_k_before(h.beta, (l - 1) / n, j / n))
+
+
+def test_float_power_is_libm_pow():
+    # The array kernel calls equal the scalar ones only while np.float_power's
+    # float64 loop is libm's pow, as Python's ** is; np.power may use a SIMD
+    # kernel instead. A numpy that changes this must fail here, not move the
+    # golden outputs' last bits.
+    rng = np.random.default_rng(11)
+    x = np.concatenate([rng.uniform(1e-3, 40.0, 50_000), np.arange(0.0, 4097.0), rng.uniform(0, 1, 10_000)])
+    y = 2.0 * rng.uniform(0.01, 0.99, x.size)
+    assert np.array_equal(np.float_power(x, y), [a**b for a, b in zip(x.tolist(), y.tolist())])
+    assert np.float_power(0.0, 0.02) == 0.0
+
+
+def _with_one(v, at, value):
+    v = np.array(v)
+    v[at] = value
+    return v
+
+
+@pytest.mark.parametrize("at", [0, 17, -1])
+def test_array_calls_check_every_element(at):
+    alpha, beta, n, i, j, k, l = _random_cases(3, size=50)
+    h = HurstPair(alpha, beta)
+    with pytest.raises(IndexError, match=f"index 0 out of range 1..{n[at]}$"):
+        incr_cov(h, n, i, j, _with_one(k, at, 0), l)
+    with pytest.raises(IndexError, match=f"index {n[at] + 1} out of range"):
+        delta_incr_inner(h, n, k, l, i, _with_one(j, at, n[at] + 1))
+    with pytest.raises(IndexError):
+        incr_cov(h, _with_one(n, at, 0), i, j, k, l)
+    for bad in (0.0, 1.0, np.nan):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            HurstPair(_with_one(alpha, at, bad), beta)
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            k_gamma(_with_one(beta, at, bad), 0.25, 0.5)
+    s = np.linspace(0.0, 0.5, 50)
+    with pytest.raises(ValueError):
+        Rect(s, _with_one(s + 0.1, at, -0.1), s, s + 0.1)
+    with pytest.raises(ValueError, match=r"point \(1.5, 0.25\) outside"):
+        point_rect_cov(h, (_with_one(s, at, 1.5), 0.25), Rect(s, s + 0.1, s, s + 0.1))
+
+
 # --- HurstPair / Rect validation -----------------------------------------------------
 
 
