@@ -23,11 +23,13 @@ Scalar and array calls
 go through ``np.float_power``, whose float64 loop calls libm's ``pow`` as
 Python's ``**`` does, so an array call equals the per-element scalar calls
 bit for bit. ``np.power`` may instead dispatch to a SIMD kernel (numpy 2.4 on
-AVX-512 CPUs) that differs from libm in the last bit. ``rho_array``, which
-reads every lag from one ``np.power`` table of x^{2g} (exact 0 at x = 0), and
-the oracle of ``mcverify.kernel_property_suite`` use it. perfbench/golden.json
-pins the outputs of both paths, so neither may replace the other where it is
-used.
+AVX-512 CPUs) that differs from libm in the last bit. ``rho_range``, which
+reads the contiguous lags lo..hi-1 from one ``np.power`` table of |x|^{2g}
+over lo-1..hi (exact 0 at x = 0), and the oracle of
+``mcverify.kernel_property_suite`` use it. ``rho_array`` gathers arbitrary
+lags from one ``rho_range`` call over min|c|..max|c|, so ρ has one array
+formula. perfbench/golden.json pins the outputs of both paths, so neither may
+replace the other where it is used.
 """
 
 from __future__ import annotations
@@ -133,23 +135,28 @@ def rho(gamma: float, c: int) -> float:
     return _pow2g(c + 1, gamma) + _pow2g(c - 1, gamma) - 2.0 * _pow2g(c, gamma)
 
 
-def rho_array(gamma: float, c: np.ndarray) -> np.ndarray:
-    """``rho`` at an array of integer lags, with exact zeros at the cusp.
+def rho_range(gamma: float, lo: int, hi: int) -> np.ndarray:
+    """``rho`` at the contiguous lags lo, lo+1, ..., hi-1 (0 <= lo <= hi).
 
-    One ``pow`` per distinct value: p[x - lo] = x^{2 gamma} over the lag
-    range lo..hi that the three terms read, with p = 0 at x = 0. The table
-    starts at the smallest lag, so a block of lags far from 0 costs no more
-    than one near it.
+    One ``pow`` per lag: p = |x|^{2 gamma} over x = lo-1 .. hi, with p = 0
+    at x = 0, and rho = p(x+1) + p(|x-1|) - 2 p(x) as three shifted slices
+    of that table. A range far from 0 costs no more than one near it.
+    """
+    p = np.abs(np.arange(lo - 1, hi + 1, dtype=float)) ** (2.0 * gamma)
+    if lo <= 1:
+        p[1 - lo] = 0.0
+    return p[2:] + p[:-2] - 2.0 * p[1:-1]
+
+
+def rho_array(gamma: float, c: np.ndarray) -> np.ndarray:
+    """``rho`` at an array of integer lags: a gather from ``rho_range``
+    over min|c| .. max|c|, so each distinct lag costs one ``pow``.
     """
     a = np.abs(np.asarray(c, dtype=np.int64))
     if a.size == 0:
         return np.zeros(a.shape)
-    lo = max(int(a.min()) - 1, 0)
-    x = np.arange(lo, int(a.max()) + 2, dtype=float)
-    p = x ** (2.0 * gamma)
-    if lo == 0:
-        p[0] = 0.0
-    return p[a + 1 - lo] + p[np.abs(a - 1) - lo] - 2.0 * p[a - lo]
+    lo = int(a.min())
+    return rho_range(gamma, lo, int(a.max()) + 1)[a - lo]
 
 
 def _check_index(n: int, *idx: int) -> None:

@@ -338,6 +338,29 @@ def test_sigma_cutoff_cap_exits_config_error(capsys, monkeypatch):
     assert _rejected(capsys, "verify", "--which", "var", *h, "--n-list", "2", "4", "--M", "2", "--seed", "1")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sigma", "--alpha", "0.3", "--beta", "0.3", "--tol", "1e-300"),
+        ("verify", "--which", "var", "--alpha", "0.6", "--beta", "0.3",
+         "--n-list", "8", "16", "--M", "50", "--seed", "1"),
+    ],
+    ids=["sigma-tol-1e-300", "var-alpha-0.6"],
+)
+def test_unreachable_sigma_tolerance_exits_after_cutoff_4(capsys, monkeypatch, argv):
+    sigma_module = importlib.import_module("sheetqv.sigma")
+    axis_sum = sigma_module._axis_sum_sq
+    cutoffs = []
+
+    def counting(gamma, cutoff):
+        cutoffs.append(cutoff)
+        return axis_sum(gamma, cutoff)
+
+    monkeypatch.setattr(sigma_module, "_axis_sum_sq", counting)
+    assert _rejected(capsys, *argv)
+    assert cutoffs and max(cutoffs) == 4
+
+
 def test_verify_unknown_suite(capsys):
     code, _, _ = run(
         capsys, "verify", "--which", "ks", "--alpha", "2.0", "--beta", "0.4", "--seed", "1"

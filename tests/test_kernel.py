@@ -13,6 +13,7 @@ from sheetqv.kernel import (
     point_rect_cov,
     rho,
     rho_array,
+    rho_range,
 )
 
 H = HurstPair(0.35, 0.4)
@@ -168,6 +169,11 @@ def test_rho_array_is_bit_identical_to_masked_pow(gamma):
         assert got.shape == c.shape
         np.testing.assert_array_equal(got, rho_array_masked(gamma, c))
     assert rho_array(gamma, np.arange(0)).shape == (0,)
+    for lo in (0, 1, 2, 4_000_000):
+        for size in (0, 1, 2, 3, 1000):
+            got = rho_range(gamma, lo, lo + size)
+            assert got.shape == (size,)
+            np.testing.assert_array_equal(got, rho_array_masked(gamma, np.arange(lo, lo + size)))
 
 
 # --- incr_cov -------------------------------------------------------------------

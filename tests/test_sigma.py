@@ -13,6 +13,7 @@ from sheetqv.sigma import (
     CutoffError,
     RegimeError,
     _axis_sum_sq,
+    _exact_parts,
     sigma,
     sigma_series,
     sigma_squared_partial,
@@ -113,9 +114,82 @@ def _axis_sum_sq_one_list(gamma, cutoff):
     return 4.0 + 2.0 * math.fsum(terms.tolist())
 
 
-@pytest.mark.parametrize("cutoff", [0, 1, 4, 40, 400, 4_000, 40_000, 400_000, 4_000_000])
+GAMMAS = [0.05, 0.3, 0.35, 0.4, 0.45, 0.5, 0.6, 0.74]
+
+
+@pytest.mark.parametrize(
+    "cutoff", [0, 1, 4, 40, 400, 4_000, 40_000, _BLOCK, _BLOCK + 1, 400_000, 4_000_000]
+)
 def test_streamed_axis_sum_equals_one_list_fsum(cutoff):
-    assert _axis_sum_sq(0.35, cutoff) == _axis_sum_sq_one_list(0.35, cutoff)
+    for gamma in GAMMAS:
+        assert _axis_sum_sq(gamma, cutoff) == _axis_sum_sq_one_list(gamma, cutoff), gamma
+
+
+def _span_block(span, size=1000, seed=0):
+    """Positive floats with random 53-bit significands whose binary
+    exponents run over exactly e .. e + span."""
+    rng = np.random.default_rng(seed)
+    t = np.ldexp(rng.uniform(1.0, 2.0, size), rng.integers(0, span + 1, size))
+    t[0], t[-1] = 1.0, np.nextafter(2.0**(span + 1), 0.0)
+    return t
+
+
+def _crafted_blocks():
+    yield "tie-low", [1.0, 2.0**-53]
+    yield "tie-up", [1.0, 2.0**-53, 2.0**-105]
+    yield "tie-even-down", [1.0, 1.0 + 2.0**-52]  # 2 + half an ulp
+    yield "tie-even-up", [1.0 + 2.0**-52, 1.0 + 2.0**-51]  # 2 + 1.5 ulp
+    yield "single", [0.1]
+    yield "zeros", np.zeros(7)
+    yield "zero-and-positive", [0.0, 0.3, 0.7]
+    yield "subnormal", [5e-324, 1e-310, 2.0**-1022]
+    yield "near-subnormal", [2.0**-1022, 3.0 * 2.0**-1020]
+    yield "smallest-scalable", [2.0**-970, 3.0 * 2.0**-966]
+    yield "tiny", np.linspace(1e-300, 2e-300, 999)
+    yield "huge", np.linspace(1e300, 2e300, 999)
+    for span in (0, 7, 8, 9, 10, 11, 40):
+        yield f"span-{span}", _span_block(span)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        yield f"random-{seed}", rng.uniform(0.5, 200.0, 1 << 16) * 2.0 ** rng.integers(-600, 600)
+
+
+BLOCKS = {name: np.asarray(t, dtype=float) for name, t in _crafted_blocks()}
+
+
+@pytest.mark.parametrize("name", BLOCKS)
+def test_exact_parts_sum_to_the_fsum_of_the_terms(name):
+    t = BLOCKS[name]
+    parts = _exact_parts(t)
+    assert math.fsum(parts) == math.fsum(t.tolist())
+    if isinstance(parts, memoryview):
+        assert parts.tolist() == t.tolist()
+    else:
+        assert len(parts) == 2 and all(type(p) is float for p in parts)
+
+
+@pytest.mark.parametrize(
+    "name,exact",
+    [("single", True), ("tie-even-down", True), ("span-8", True), ("huge", True),
+     ("smallest-scalable", True), ("span-9", False), ("span-40", False),
+     ("zeros", False), ("zero-and-positive", False), ("subnormal", False),
+     ("near-subnormal", False), ("tiny", False)],
+)
+def test_exact_parts_fall_back_outside_the_exact_case(name, exact):
+    assert isinstance(_exact_parts(BLOCKS[name]), memoryview) is not exact
+
+
+def test_axis_sum_blocks_after_the_first_are_two_floats(monkeypatch):
+    calls = []
+
+    def counting(t):
+        calls.append(_exact_parts(t))
+        return calls[-1]
+
+    monkeypatch.setattr(sigma_module, "_exact_parts", counting)
+    _axis_sum_sq(0.35, 4_000_000)
+    assert isinstance(calls[0], memoryview)  # the first block spans 1 down to ~2^-41
+    assert all(isinstance(p, tuple) for p in calls[1:])
 
 
 @pytest.mark.parametrize("block", [7, _BLOCK])
