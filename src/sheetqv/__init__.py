@@ -14,7 +14,6 @@ from .fieldsim import (
     field_from_increments,
     replication_rng,
     sample_increments,
-    sample_white_increments,
 )
 from .kernel import (
     HurstPair,
@@ -26,7 +25,7 @@ from .kernel import (
     point_rect_cov,
     rho,
 )
-from .qv import QVProcess, WeightFunction, eval_qv, limit_sample, qv_process, weight
+from .qv import QVProcess, WeightFunction, eval_qv, qv_process, weight
 from .sigma import RegimeError, SeriesResult, sigma, sigma_series, sigma_squared_partial
 
 __all__ = [
@@ -35,8 +34,7 @@ __all__ = [
     "hermite", "centered_square", "i2_pair_moment",
     "SeriesResult", "RegimeError", "sigma", "sigma_series", "sigma_squared_partial",
     "IncrementField", "GridField", "factor_1d",
-    "sample_increments", "sample_white_increments", "field_from_increments",
+    "sample_increments", "field_from_increments",
     "replication_rng",
     "WeightFunction", "QVProcess", "weight", "qv_process", "eval_qv",
-    "limit_sample",
 ]

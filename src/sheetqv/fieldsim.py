@@ -13,22 +13,22 @@ stationary covariance into size 2n (fails loudly if the embedding spectrum
 goes negative, which does not happen for this covariance family). Node
 values are recovered by 2D prefix summation; the sheet vanishes on the axes.
 
-Reproducibility contract: every sample is drawn from a named stream keyed
-by (seed, replication, purpose). Identical keys give identical fields no
+Reproducibility contract: replication r of a sample with a given purpose
+draws from the generator that ``replication_rng(seed, r, purpose)``
+returns. Identical (seed, replication, purpose) give identical fields no
 matter how replications are scheduled across workers.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import HurstPair, rho_array
 
 PURPOSE_SHEET = 0
-PURPOSE_DRIVER = 1
 
 _MAX_N = 4096  # dense factors; beyond this the memory budget is blown
 
@@ -40,24 +40,9 @@ class CirculantEmbeddingError(RuntimeError):
     """The even extension of the covariance is not positive semidefinite."""
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """A named deterministic stream: (seed, replication, purpose)."""
-
-    key: tuple
-    generator: np.random.Generator
-
-
-def replication_rng(seed: int, replication: int = 0, purpose: int = PURPOSE_SHEET) -> RngStream:
-    """Derive the stream for one (replication, purpose) pair from a master seed."""
-    ss = np.random.SeedSequence(seed, spawn_key=(replication, purpose))
-    return RngStream(key=(seed, replication, purpose), generator=np.random.default_rng(ss))
-
-
-def _split(rng) -> tuple[np.random.Generator, tuple | None]:
-    if isinstance(rng, RngStream):
-        return rng.generator, rng.key
-    return rng, None
+def replication_rng(seed: int, replication: int = 0, purpose: int = PURPOSE_SHEET) -> np.random.Generator:
+    """The generator of one (replication, purpose) pair under a master seed."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replication, purpose)))
 
 
 @dataclass
@@ -67,7 +52,6 @@ class IncrementField:
     n: int
     values: np.ndarray
     hurst: HurstPair
-    stream_key: tuple | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -77,7 +61,6 @@ class GridField:
     n: int
     values: np.ndarray
     hurst: HurstPair
-    stream_key: tuple | None = field(default=None, compare=False)
 
 
 def _window_rows(v: np.ndarray, width: int, starts: slice) -> np.ndarray:
@@ -142,18 +125,18 @@ def standard_normals(seed: int, first: int, reps: int, purpose: int, shape: tupl
     z = np.empty((reps, *shape))
     for b in range(reps):
         # filled in place: the same draws as standard_normal(shape), without a copy
-        replication_rng(seed, first + b, purpose).generator.standard_normal(out=z[b])
+        replication_rng(seed, first + b, purpose).standard_normal(out=z[b])
     return z
 
 
-def sample_increments(h: HurstPair, n: int, rng, method: str = "cholesky") -> IncrementField:
-    """Draw one exact sample of the n x n increment field."""
-    gen, key = _split(rng)
+def sample_increments(
+    h: HurstPair, n: int, rng: np.random.Generator, method: str = "cholesky"
+) -> IncrementField:
+    """Draw one exact sample of the n x n increment field from ``rng``."""
     fa = factor_1d(h.alpha, n, method)
     fb = factor_1d(h.beta, n, method)
-    z = gen.standard_normal((fa.shape[1], fb.shape[1]))
-    vals = fa @ z @ fb.T
-    return IncrementField(n=n, values=vals, hurst=h, stream_key=key)
+    z = rng.standard_normal((fa.shape[1], fb.shape[1]))
+    return IncrementField(n=n, values=fa @ z @ fb.T, hurst=h)
 
 
 def sample_increments_batch(
@@ -187,16 +170,7 @@ def prefix_nodes(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 
 def field_from_increments(inc: IncrementField) -> GridField:
     """2D prefix sums of the increments; row 0 and column 0 are zero."""
-    return GridField(
-        n=inc.n, values=prefix_nodes(inc.values), hurst=inc.hurst, stream_key=inc.stream_key
-    )
-
-
-def sample_white_increments(n: int, rng) -> IncrementField:
-    """iid N(0, 1/n^2) cell increments of a standard Brownian sheet."""
-    gen, key = _split(rng)
-    vals = gen.standard_normal((n, n)) / n
-    return IncrementField(n=n, values=vals, hurst=HurstPair(0.5, 0.5), stream_key=key)
+    return GridField(n=inc.n, values=prefix_nodes(inc.values), hurst=inc.hurst)
 
 
 def write_field(path, f: GridField) -> None:

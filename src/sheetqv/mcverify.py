@@ -344,26 +344,27 @@ def second_moment_limit(
 # conditional covariance and characteristic functions
 
 
-def build_Q(field, f: WeightFunction, sigma_val: float, points) -> np.ndarray:
-    """Riemann-sum conditional covariance matrix on the field's grid."""
-    n = field.n
+def build_Q(nodes: np.ndarray, f: WeightFunction, sigma_val: float, points) -> np.ndarray:
+    """Riemann-sum conditional covariance matrices of node arrays (..., n+1, n+1).
+
+    Leading replication axes carry over: the result has shape (..., m, m)
+    for m points.
+    """
+    n = nodes.shape[-1] - 1
     m = len(points)
-    mat = _f2_sums(f, field.values, _pair_indices(_point_indices(n, points))).reshape(m, m)
+    mat = _f2_sums(f, nodes, _pair_indices(_point_indices(n, points)))
+    mat = mat.reshape(mat.shape[:-1] + (m, m))
     mat *= sigma_val**2 / (n * n)
     return mat
 
 
 def _q_quadform_samples(h, f, n, M, seed, rep_offset, points, sigma_val, lambdas):
     """Per-replication exp(-1/2 lam' Q lam) over independent sheet samples."""
-    pairs = _pair_indices(_point_indices(n, points))
-    m = len(points)
     lam = np.asarray(lambdas)  # (L, m)
-
     out = np.empty((M, lam.shape[0]))
 
     def work(_, nodes, rows):
-        q = _f2_sums(f, nodes, pairs).reshape(nodes.shape[0], m, m)
-        q *= sigma_val**2 / (n * n)
+        q = build_Q(nodes, f, sigma_val, points)
         out[rows] = np.exp(-0.5 * np.einsum("la,rab,lb->rl", lam, q, lam))
 
     _node_chunks(h, n, seed, M, work, rep_offset=rep_offset)

@@ -1,13 +1,11 @@
-"""The weighted quadratic-variation statistic and its discretized limit.
+"""The weighted quadratic-variation statistic.
 
 The statistic on the grid is the partial-sum array
 
     S[I, J] = (1/n) sum_{i<=I, j<=J} f(W((i-1)/n, (j-1)/n))
                                    * (n^{2(alpha+beta)} Delta_{i,j}^2 - 1),
 
-with the weight evaluated at the lower-left node of each cell. The limit
-process is a stochastic integral of f(sheet) against an independent standard
-Brownian sheet, discretized on the same grid.
+with the weight evaluated at the lower-left node of each cell.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ class WeightFunction:
     v -> E[f''(N(0, v))], both optional closed forms; when absent they are
     computed by Gauss-Hermite quadrature from ``func`` / ``d2``. ``d2_mean``
     must also accept an array of variances (a scalar result is broadcast).
-    ``satisfies_h`` marks weights smooth enough for theorem-verification runs.
     """
 
     kind: str
@@ -39,10 +36,9 @@ class WeightFunction:
     d2: Callable | None = None
     m_closed: Callable | None = None
     d2_mean: Callable | None = None
-    satisfies_h: bool = True
 
 
-def weight(kind: str, table: tuple | None = None) -> WeightFunction:
+def weight(kind: str) -> WeightFunction:
     """Built-in weight functions by name."""
     if kind == "constant_one":
         return WeightFunction(
@@ -75,20 +71,6 @@ def weight(kind: str, table: tuple | None = None) -> WeightFunction:
             d2=lambda x: -np.cos(x),
             m_closed=lambda v: 0.5 * (1.0 + np.exp(-2.0 * v)),
             d2_mean=lambda v: -np.exp(-0.5 * v),
-        )
-    if kind == "user_table":
-        if table is None:
-            raise ValueError("user_table weight requires (xs, ys) knots")
-        xs = np.asarray(table[0], dtype=float)
-        ys = np.asarray(table[1], dtype=float)
-        if xs.min() < -8.0 or xs.max() > 8.0:
-            raise ValueError("table knots must lie in [-8, 8]")
-        # piecewise linear, clamped outside the knot range; not C^4, so it
-        # is excluded from theorem-verification runs
-        return WeightFunction(
-            kind,
-            func=lambda x: np.interp(x, xs, ys),
-            satisfies_h=False,
         )
     raise ValueError(f"unknown weight kind {kind!r}")
 
@@ -150,25 +132,6 @@ def eval_qv(p: QVProcess, s: float, t: float) -> float:
     i = min(int(np.floor(p.n * s)), p.n)
     j = min(int(np.floor(p.n * t)), p.n)
     return float(p.partial_sums[i, j])
-
-
-def limit_sample(
-    field: GridField, f: WeightFunction, sigma_val: float, driver: IncrementField
-) -> np.ndarray:
-    """Discretized limit process sigma * int f(W) dB on the field's grid.
-
-    ``driver`` must be a standard-sheet increment field drawn from a stream
-    independent of the one that produced ``field``.
-    """
-    if driver.n != field.n:
-        raise ValueError("driver and field grids differ")
-    if (
-        field.stream_key is not None
-        and driver.stream_key is not None
-        and field.stream_key == driver.stream_key
-    ):
-        raise ValueError("driver shares its rng stream with the field")
-    return prefix_nodes(sigma_val * f.func(field.values[:-1, :-1]) * driver.values)
 
 
 def write_qv_csv(path, p: QVProcess) -> None:

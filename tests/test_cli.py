@@ -1,6 +1,5 @@
 """Command-line front end: outputs, exit codes, config merging, determinism."""
 
-import dataclasses
 import importlib
 import json
 import math
@@ -239,16 +238,6 @@ def test_verify_labels_runs_outside_the_theorem(capsys, alpha, beta, labelled):
         assert "admissible" not in recs[0]["extra"]
 
 
-def test_verify_labels_every_record_of_a_weight_outside_h(capsys, monkeypatch):
-    cli = importlib.import_module("sheetqv.cli")
-    plain = cli.qvmod.weight
-    monkeypatch.setattr(cli.qvmod, "weight", lambda kind: dataclasses.replace(plain(kind), satisfies_h=False))
-    monkeypatch.setattr(cli.mcverify, "sigma_of", lambda h, tol: 1.0)
-    _, recs, _ = run(capsys, "verify", "--which", "stable", *H_FLAGS, "--M", "20", "--n", "4", "--seed", "1")
-    assert len(recs) == 2
-    assert all(r["extra"]["admissible"] is False for r in recs)
-
-
 def test_verify_failure_exit_code(capsys):
     # mean decay at alpha = beta = 0.35 over small n is a known transient
     # regime where the fitted-bound rule fails; exit code must be 1
@@ -279,12 +268,12 @@ def test_verify_rejects_unusable_input(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["sample", "--n", "5000", "--seed", "1"],
     ["sample", "--n", "8", "--seed", "-1"],
-    ["bench", "--n", "5000", "--seed", "1"],
+    ["qv", "--n", "5000", "--seed", "1"],
     ["sigma", "--tol", "0"],
 ])
 def test_commands_reject_unusable_input(capsys, tmp_path, argv):
     out = tmp_path / "out.csv"
-    extra = ["--out", str(out)] if argv[0] == "sample" else []
+    extra = ["--out", str(out)] if argv[0] in ("sample", "qv") else []
     assert _rejected(capsys, *argv, "--alpha", "0.35", "--beta", "0.4", *extra)
     assert not out.exists()
 
@@ -366,23 +355,6 @@ def test_verify_unknown_suite(capsys):
         capsys, "verify", "--which", "ks", "--alpha", "2.0", "--beta", "0.4", "--seed", "1"
     )
     assert code == EXIT_CONFIG
-
-
-# --- bench ---------------------------------------------------------------------------
-
-
-def test_bench_reports_timings(capsys):
-    code, recs, err = run(
-        capsys, "bench", "--alpha", "0.35", "--beta", "0.4", "--seed", "1",
-        "--n-list", "16", "32",
-    )
-    assert code == EXIT_OK
-    rows = recs[0]["bench"]
-    assert [r["n"] for r in rows] == [16, 32]
-    for row in rows:
-        assert row["cholesky_sample_s"] > 0.0
-        assert row["circulant_sample_s"] > 0.0
-        assert row["statistic_s"] > 0.0
 
 
 # --- float serialization ---------------------------------------------------------------

@@ -426,7 +426,7 @@ def test_build_q_constant_weight_closed_form():
         sample_increments(H, 8, replication_rng(57, 0, PURPOSE_SHEET))
     )
     points = [(0.5, 1.0), (1.0, 0.5)]
-    q = build_Q(field, weight("constant_one"), 1.5, points)
+    q = build_Q(field.values, weight("constant_one"), 1.5, points)
     want = 1.5**2 * np.array([[0.5, 0.25], [0.25, 0.5]])
     assert np.allclose(q, want, rtol=1e-12)
     assert np.array_equal(q, q.T)

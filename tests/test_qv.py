@@ -1,4 +1,4 @@
-"""Statistic partial sums, weight functions, and the discretized limit."""
+"""Statistic partial sums and weight functions."""
 
 import csv
 import math
@@ -6,19 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from sheetqv.fieldsim import (
-    PURPOSE_DRIVER,
-    PURPOSE_SHEET,
-    field_from_increments,
-    replication_rng,
-    sample_increments,
-    sample_white_increments,
-)
+from sheetqv.fieldsim import PURPOSE_SHEET, field_from_increments, replication_rng, sample_increments
 from sheetqv.kernel import HurstPair
 from sheetqv.qv import (
+    WeightFunction,
     d2_mean_at,
     eval_qv,
-    limit_sample,
     moment_m,
     qv_process,
     weight,
@@ -49,17 +42,6 @@ def test_weight_unknown():
         weight("exp")
 
 
-def test_user_table_weight():
-    f = weight("user_table", table=([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]))
-    assert f.func(0.5) == pytest.approx(0.5)
-    assert f.func(3.0) == 0.0  # clamped outside knots
-    assert not f.satisfies_h
-    with pytest.raises(ValueError):
-        weight("user_table")
-    with pytest.raises(ValueError):
-        weight("user_table", table=([-9.0, 0.0], [0.0, 1.0]))
-
-
 def test_moment_m_closed_forms_match_quadrature():
     # check every closed form against quadrature on the raw function
     from sheetqv.quadrature import gauss_hermite_mean
@@ -82,13 +64,14 @@ def test_d2_mean_closed_forms_match_quadrature():
 
 
 def test_d2_mean_requires_second_derivative():
-    f = weight("user_table", table=([-1.0, 1.0], [0.0, 1.0]))
+    f = WeightFunction(kind="table", func=lambda x: np.interp(x, [-1.0, 1.0], [0.0, 1.0]))
     with pytest.raises(ValueError):
         d2_mean_at(f, 1.0)
 
 
 def test_moment_m_quadrature_fallback():
-    f = weight("user_table", table=([-8.0, 8.0], [-8.0, 8.0]))  # identity on range
+    # identity on [-8, 8]; no closed form, so E[f^2] comes from quadrature
+    f = WeightFunction(kind="table", func=lambda x: np.interp(x, [-8.0, 8.0], [-8.0, 8.0]))
     assert moment_m(f, 1.0) == pytest.approx(1.0, rel=1e-6)
 
 
@@ -159,53 +142,6 @@ def test_brownian_constant_weight_mean_variance():
     var = vals.var(ddof=1)
     se_var = vals.var(ddof=1) * math.sqrt(2.0 / (reps - 1)) * 2.0
     assert abs(var - 2.0) <= 4.0 * se_var
-
-
-# --- limit_sample -----------------------------------------------------------------
-
-
-def test_limit_sample_brute_force():
-    n = 4
-    field, _ = make_sample(n=n, seed=6)
-    driver = sample_white_increments(n, replication_rng(6, 0, PURPOSE_DRIVER))
-    f = weight("identity")
-    s = limit_sample(field, f, 1.5, driver)
-    want = 0.0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            want += 1.5 * field.values[i - 1, j - 1] * driver.values[i - 1, j - 1]
-    assert s[n, n] == pytest.approx(want, rel=1e-12)
-    assert np.all(s[0, :] == 0.0) and np.all(s[:, 0] == 0.0)
-
-
-def test_limit_sample_rejects_shared_stream():
-    field, _ = make_sample(n=8, seed=7)
-    driver = sample_white_increments(8, replication_rng(7, 0, PURPOSE_SHEET))
-    with pytest.raises(ValueError):
-        limit_sample(field, weight("identity"), 1.0, driver)
-
-
-def test_limit_sample_rejects_grid_mismatch():
-    field, _ = make_sample(n=8, seed=8)
-    driver = sample_white_increments(16, replication_rng(8, 0, PURPOSE_DRIVER))
-    with pytest.raises(ValueError):
-        limit_sample(field, weight("identity"), 1.0, driver)
-
-
-def test_limit_sample_conditional_variance():
-    # conditional on the field, s[n,n] is centered Gaussian with variance
-    # sigma^2 sum f^2(W_ll) / n^2; check over driver replications
-    n, reps, sig = 8, 4000, 1.3
-    field, _ = make_sample(n=n, seed=9)
-    f = weight("cosine")
-    vals = np.empty(reps)
-    for r in range(reps):
-        driver = sample_white_increments(n, replication_rng(9, r, PURPOSE_DRIVER))
-        vals[r] = limit_sample(field, f, sig, driver)[n, n]
-    want = sig**2 * float(np.sum(np.cos(field.values[:-1, :-1]) ** 2)) / n**2
-    se = vals.var(ddof=1) * math.sqrt(2.0 / (reps - 1)) * 2.0
-    assert abs(vals.mean()) <= 4.0 * vals.std(ddof=1) / math.sqrt(reps)
-    assert abs(vals.var(ddof=1) - want) <= 4.0 * se
 
 
 # --- CSV dump -----------------------------------------------------------------
