@@ -372,6 +372,9 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError, RegimeError, CutoffError) as e:
         _note(f"error: {e}")
         return EXIT_CONFIG
+    except MemoryError as e:  # sizes no machine holds are refused like any other bad input
+        _note(f"error: not enough memory: {e}")
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -13,6 +13,11 @@ stationary covariance into size 2n (fails loudly if the embedding spectrum
 goes negative, which does not happen for this covariance family). Node
 values are recovered by 2D prefix summation; the sheet vanishes on the axes.
 
+Memory: sampling one field holds at most three large arrays at once, the
+draws Z (m x m, m = n or 2n) with F_alpha and the half product F_alpha Z
+(n x m each). For the circulant method that is 256 MiB at n = 2048 and
+1 GiB at n = 4096.
+
 Reproducibility contract: replication r of a sample with a given purpose
 draws from the generator that ``replication_rng(seed, r, purpose)``
 returns. Identical (seed, replication, purpose) give identical fields no
@@ -30,7 +35,8 @@ from .kernel import HurstPair, rho_array
 
 PURPOSE_SHEET = 0
 
-_MAX_N = 4096  # dense factors; beyond this the memory budget is blown
+# Z, F_alpha and F_alpha Z are dense: 1 GiB for circulant at 4096, 4 GiB at the next doubling
+_MAX_N = 4096
 
 _MAGIC = b"FBSH"
 _HURST_SCALE = 10**9  # header stores alpha, beta as nanounits
@@ -132,25 +138,19 @@ def standard_normals(seed: int, first: int, reps: int, purpose: int, shape: tupl
 def sample_increments(
     h: HurstPair, n: int, rng: np.random.Generator, method: str = "cholesky"
 ) -> IncrementField:
-    """Draw one exact sample of the n x n increment field from ``rng``."""
-    fa = factor_1d(h.alpha, n, method)
-    fb = factor_1d(h.beta, n, method)
-    z = rng.standard_normal((fa.shape[1], fb.shape[1]))
-    return IncrementField(n=n, values=fa @ z @ fb.T, hurst=h)
+    """Draw one exact sample of the n x n increment field from ``rng``.
 
-
-def sample_increments_batch(
-    h: HurstPair, n: int, seed: int, reps: int,
-    purpose: int = PURPOSE_SHEET, method: str = "cholesky",
-) -> np.ndarray:
-    """Stack of ``reps`` increment fields, shape (reps, n, n).
-
-    Replication r uses the stream (seed, r, purpose), so the stack is
-    identical to sampling each replication independently.
+    The product runs as (F_alpha Z) F_beta^T with each factor built only
+    when it is read, so at most three large arrays are live: Z, F_alpha and
+    the half product, then the half product, F_beta and the result. Z is
+    (m, m) with m the width of either factor, so it is drawn before F_beta
+    exists, after F_alpha's construction has checked n and the method.
     """
     fa = factor_1d(h.alpha, n, method)
-    fb = factor_1d(h.beta, n, method)
-    return fa @ standard_normals(seed, 0, reps, purpose, (fa.shape[1], fb.shape[1])) @ fb.T
+    z = rng.standard_normal((fa.shape[1], fa.shape[1]))
+    half = fa @ z
+    del fa, z
+    return IncrementField(n=n, values=half @ factor_1d(h.beta, n, method).T, hurst=h)
 
 
 def prefix_nodes(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -104,22 +104,28 @@ def exact_mean(h: HurstPair, f: WeightFunction, n: int, t: tuple[float, float]) 
     E[X^n_t] = n^{2(a+b)-1} sum_{k,l} E[f''(W at lower-left node)] * inner^2,
     where inner is the corner-rectangle/cell inner product; it factorizes
     across the two axes. Identically zero whenever f'' == 0.
+
+    The n1 x n2 node variances live only until E[f''] is formed from them,
+    and the squared inner products are multiplied by E[f''] in place, so
+    at most two n1 x n2 arrays are live, one where E[f''] is a constant.
+    The one pairwise sum adds the values a fresh product would hold, in
+    the same order.
     """
     n1, n2 = int(np.floor(n * t[0])), int(np.floor(n * t[1]))
     if n1 == 0 or n2 == 0:
         return 0.0
-    da = _corner_inner_1d(h.alpha, n1, n)
-    db = _corner_inner_1d(h.beta, n2, n)
-    inner_sq = np.outer(da * da, db * db)
     va = ((np.arange(1, n1 + 1) - 1.0) / n) ** (2.0 * h.alpha)
     vb = ((np.arange(1, n2 + 1) - 1.0) / n) ** (2.0 * h.beta)
-    v = np.outer(va, vb)
-    if f.d2_mean is not None:  # closed forms take arrays; broadcast constants
-        e2 = np.broadcast_to(np.asarray(f.d2_mean(v), dtype=float), v.shape)
+    if f.d2_mean is not None:  # closed forms take arrays; constants broadcast below
+        e2 = np.asarray(f.d2_mean(np.outer(va, vb)), dtype=float)
     else:
-        e2 = np.vectorize(lambda vv: d2_mean_at(f, vv))(v)
+        e2 = np.vectorize(lambda vv: d2_mean_at(f, vv))(np.outer(va, vb))
+    da = _corner_inner_1d(h.alpha, n1, n)
+    db = _corner_inner_1d(h.beta, n2, n)
+    terms = np.outer(da * da, db * db)
+    terms *= e2
     scale = float(n) ** (2.0 * (h.alpha + h.beta) - 1.0)
-    return float(scale * np.sum(e2 * inner_sq))
+    return float(scale * np.sum(terms))
 
 
 def mean_decay(
@@ -245,15 +251,27 @@ def _point_indices(n: int, points) -> np.ndarray:
 def _corner_sums(a: np.ndarray, idx) -> np.ndarray:
     """Sums of a[..., :i, :j] for each (i, j) in idx, shape (..., len(idx)).
 
-    Adds down the columns, then along only the needed row prefix, so each
-    value is bit-identical to a full double cumsum read at (i-1, j-1); a
-    pairwise ``.sum()`` would round differently.
+    One running row walks down the rows once, up to the largest i, and at
+    each requested i only the needed prefix of it is summed. These are the
+    adds of a full double cumsum read at (i-1, j-1), in its order, so each
+    value has the same bits; a pairwise ``.sum()`` or ``np.add.reduce`` down the
+    rows would round differently.
     """
-    cols = a.cumsum(axis=-2)
-    out = np.zeros(a.shape[:-2] + (len(idx),))
+    wanted = {}
     for p, (i, j) in enumerate(idx):
         if i and j:
-            out[..., p] = cols[..., i - 1, :j].cumsum(axis=-1)[..., -1]
+            wanted.setdefault(i, []).append((p, j))
+    out = np.zeros(a.shape[:-2] + (len(idx),))
+    if not wanted:
+        return out
+    acc = a[..., 0, :].copy()  # the sum of rows 0 .. done-1
+    done = 1
+    for i in sorted(wanted):
+        for k in range(done, i):
+            acc += a[..., k, :]
+        done = i
+        for p, j in wanted[i]:
+            out[..., p] = acc[..., :j].cumsum(axis=-1)[..., -1]
     return out
 
 

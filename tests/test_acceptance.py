@@ -13,6 +13,7 @@ import pytest
 from sheetqv.cli import EXIT_OK, main
 from sheetqv.kernel import HurstPair, incr_cov
 from sheetqv.mcverify import (
+    _node_chunks,
     charfn_compare,
     exact_mean,
     exact_qv_variance,
@@ -24,7 +25,6 @@ from sheetqv.mcverify import (
     second_moment_limit,
     stable_convergence_check,
 )
-from sheetqv.fieldsim import sample_increments_batch
 from sheetqv.qv import weight
 from sheetqv.sigma import sigma_squared_partial
 
@@ -81,8 +81,12 @@ def test_criterion_03_sampler_exactness(capsys):
 
     fractions = {}
     for method in ("cholesky", "circulant"):
-        flat = sample_increments_batch(h, n, seed=103, reps=reps, method=method)
-        flat = flat.reshape(reps, -1)
+        flat = np.empty((reps, n * n))
+
+        def work(inc, nodes, rows):
+            flat[rows] = inc.reshape(inc.shape[0], -1)
+
+        _node_chunks(h, n, 103, reps, work, method=method)
         emp = flat.T @ flat / reps
         sq = flat**2
         second = sq.T @ sq / reps

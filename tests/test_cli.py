@@ -350,6 +350,18 @@ def test_unreachable_sigma_tolerance_exits_after_cutoff_4(capsys, monkeypatch, a
     assert cutoffs and max(cutoffs) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    # each size asks numpy for hundreds of TiB or more, which is refused at once
+    ["--which", "mean", "--n-list", "8", "10000000"],
+    ["--which", "ks", "--n", "8", "--M", "1000000000000000"],
+    ["--which", "kernel-props", "--cases", "1000000000000000"],
+])
+def test_verify_refuses_sizes_no_memory_holds(capsys, argv):
+    code, recs, err = run(capsys, "verify", *argv, "--alpha", "0.35", "--beta", "0.35", "--seed", "1")
+    assert (code, recs) == (EXIT_CONFIG, [])
+    assert err.startswith("error: not enough memory") and len(err.strip().splitlines()) == 1
+
+
 def test_verify_unknown_suite(capsys):
     code, _, _ = run(
         capsys, "verify", "--which", "ks", "--alpha", "2.0", "--beta", "0.4", "--seed", "1"

@@ -16,12 +16,23 @@ from sheetqv.fieldsim import (
     read_field,
     replication_rng,
     sample_increments,
-    sample_increments_batch,
     write_field,
 )
 from sheetqv.kernel import HurstPair, cov_point, incr_cov, rho_array
+from sheetqv.mcverify import _node_chunks
 
 H = HurstPair(0.35, 0.4)
+
+
+def increment_stack(h, n, seed, reps, method="cholesky"):
+    """Increments of replications 0 .. reps-1 as the Monte Carlo suites draw them, (reps, n, n)."""
+    stack = np.empty((reps, n, n))
+
+    def work(inc, nodes, rows):
+        stack[rows] = inc
+
+    _node_chunks(h, n, seed, reps, work, method=method)
+    return stack
 
 
 def test_increment_cov_1d_matches_2d_kernel():
@@ -115,7 +126,7 @@ def test_empirical_covariance_of_increments(method):
     # n=4: all 16x16 covariances within 4 SE of the exact kernel values
     n, reps = 4, 4000
     h = HurstPair(0.35, 0.35)
-    stack = sample_increments_batch(h, n, seed=11, reps=reps, method=method)
+    stack = increment_stack(h, n, seed=11, reps=reps, method=method)
     flat = stack.reshape(reps, -1)
     emp = flat.T @ flat / reps
     bad = 0
@@ -134,7 +145,7 @@ def test_empirical_covariance_of_increments(method):
 def test_node_covariance_matches_cov_point():
     # node values from prefix sums must match the sheet kernel
     n, reps = 4, 6000
-    stack = sample_increments_batch(H, n, seed=13, reps=reps)
+    stack = increment_stack(H, n, seed=13, reps=reps)
     nodes = np.zeros((reps, n + 1, n + 1))
     nodes[:, 1:, 1:] = stack.cumsum(axis=1).cumsum(axis=2)
     pts = [(1, 1), (2, 3), (4, 4), (3, 1)]
@@ -149,7 +160,7 @@ def test_node_covariance_matches_cov_point():
 def test_brownian_increments_are_white():
     n, reps = 4, 4000
     hb = HurstPair(0.5, 0.5)
-    stack = sample_increments_batch(hb, n, seed=17, reps=reps)
+    stack = increment_stack(hb, n, seed=17, reps=reps)
     flat = stack.reshape(reps, -1)
     emp = flat.T @ flat / reps
     off = emp - np.diag(np.diag(emp))
@@ -182,10 +193,39 @@ def test_streams_differ_across_key_components():
 
 
 def test_batch_equals_per_replication_sampling():
-    stack = sample_increments_batch(H, 6, seed=21, reps=5)
-    for r in range(5):
-        single = sample_increments(H, 6, replication_rng(21, r, PURPOSE_SHEET))
-        assert np.array_equal(stack[r], single.values)
+    # the chunked sampler of the Monte Carlo suites draws replication r's own field
+    for method in ("cholesky", "circulant"):
+        stack = increment_stack(H, 6, seed=21, reps=5, method=method)
+        for r in range(5):
+            single = sample_increments(H, 6, replication_rng(21, r, PURPOSE_SHEET), method)
+            assert np.array_equal(stack[r], single.values)
+
+
+@pytest.mark.parametrize("method", ["cholesky", "circulant"])
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 257, 300])
+@pytest.mark.parametrize("alpha, beta", [(0.35, 0.4), (0.05, 0.74), (0.5, 0.5)])
+def test_sample_increments_is_the_two_sided_product(alpha, beta, n, method):
+    # one factor at a time gives the bits of F_alpha Z F_beta^T on the same draws
+    h = HurstPair(alpha, beta)
+    fa, fb = factor_1d(alpha, n, method), factor_1d(beta, n, method)
+    z = replication_rng(8, n, PURPOSE_SHEET).standard_normal((fa.shape[1], fb.shape[1]))
+    got = sample_increments(h, n, replication_rng(8, n, PURPOSE_SHEET), method).values
+    assert np.array_equal(got, fa @ z @ fb.T)
+
+
+def test_sample_increments_holds_one_factor_at_a_time():
+    # n = 512 circulant: Z is 8 MiB, F_alpha and F_alpha Z 4 MiB each; F_beta
+    # or the result live beside them would pass the bound
+    n = 512
+    sample_increments(H, n, replication_rng(0), "circulant")  # warm any lazy numpy state
+    tracemalloc.start()
+    try:
+        sample_increments(H, n, replication_rng(0), "circulant")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m = 2 * n
+    assert peak < 8 * (m * m + n * m + n * m) + 2**20  # Z, F_alpha, F_alpha Z and 1 MiB
 
 
 def test_field_from_increments_axes_and_recovery():

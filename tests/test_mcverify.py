@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,20 @@ def test_exact_mean_equals_per_cell_oracle(kind, t):
         assert exact_mean(h, f, n, t) == _exact_mean_per_cell(h, f, n, t)
 
 
+@pytest.mark.parametrize("kind, arrays", [("square", 1.25), ("cosine", 2.25)])
+def test_exact_mean_holds_one_grid_array(kind, arrays):
+    # the n x n terms, plus for cosine the variances its E[f''] is formed
+    # from; a product into a fresh array would pass the bound
+    n = 1024
+    tracemalloc.start()
+    try:
+        exact_mean(HurstPair(0.35, 0.4), weight(kind), n, (1.0, 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < arrays * 8 * n * n
+
+
 def test_exact_mean_degenerate_time():
     assert exact_mean(H, weight("square"), 8, (0.0, 1.0)) == 0.0
 
@@ -211,9 +226,11 @@ def test_point_samples_equal_qv_process_across_chunks():
         p = qv_process(field_from_increments(inc), inc, f)
         assert np.array_equal(xs[r], [eval_qv(p, s, t) for s, t in points])
 
-    a = np.random.default_rng(3).standard_normal((3, 7, 9))
+    # more than 16 rows, so a pairwise sum down the rows would round differently;
+    # the corners come in any order
+    a = np.random.default_rng(3).standard_normal((3, 40, 9))
     full = a.cumsum(axis=-2).cumsum(axis=-1)
-    idx = [(i, j) for i in range(8) for j in range(10)]
+    idx = [(i, j) for i in range(41) for j in range(10)][::-1]
     want = np.stack([full[:, i - 1, j - 1] if i and j else np.zeros(3) for i, j in idx], axis=-1)
     assert np.array_equal(_corner_sums(a, idx), want)
 
