@@ -202,11 +202,12 @@ def cmd_qv(cfg: dict) -> int:
 
 
 def _two_scale(run, n_small: int, n_large: int):
-    """Run a limit check at two grid sizes; slack at n_large is the small-n gap."""
-    gap = lambda r: r.extra.get("sup_diff", r.extra.get("gap", 0.0))
-    r_small = run(n_small, 0.0)
-    r_large = run(n_large, gap(r_small))
-    return r_small, r_large, gap(r_large) <= gap(r_small)
+    """Run a limit check at two grid sizes; slack at n_large is the small-n gap.
+
+    ``run(n, grids)`` makes both records from one pass of draws at the larger size.
+    """
+    r_small, r_large = run(max(n_small, n_large), (n_small, n_large))
+    return r_small, r_large, mcverify._gap(r_large) <= mcverify._gap(r_small)
 
 
 def _at_least(what: str, value, least: int) -> int:
@@ -243,7 +244,7 @@ def cmd_verify(cfg: dict) -> int:
     elif which == "var":
         n_list = [_grid_size("--n-list size", v) for v in cfg.get("n_list", [16, 64])]
         f = _weight(cfg, "identity")
-        run = lambda n, slack: mcverify.second_moment_limit(h, f, (1.0, 1.0), n, m_reps, seed, slack)
+        run = lambda n, grids: mcverify.second_moment_limit(h, f, (1.0, 1.0), n, m_reps, seed, grids=grids)
         r_small, r_large, shrinks = _two_scale(run, n_list[0], n_list[-1])
         rel_gap = abs(r_large.estimate - r_large.reference) / abs(r_large.reference)
         r_large.passed = shrinks and rel_gap <= 0.15
@@ -272,7 +273,7 @@ def cmd_verify(cfg: dict) -> int:
         bound = mcverify.MAX_CHARFN_LAMBDA
         if np.abs(lam).max() > bound:
             raise ConfigError(f"--which charfn needs lambda_grid values in [-{bound:g}, {bound:g}]")
-        run = lambda nn, slack: mcverify.charfn_compare(h, f, points, lam, nn, m_reps, seed, slack)
+        run = lambda nn, grids: mcverify.charfn_compare(h, f, points, lam, nn, m_reps, seed, grids=grids)
         r_small, r_large, shrinks = _two_scale(run, n // 2, n)
         r_large.passed = bool(r_large.passed and shrinks)
         r_large.extra["gap_shrinks"] = shrinks
@@ -282,8 +283,8 @@ def cmd_verify(cfg: dict) -> int:
         f = _weight(cfg, "identity")
         lam = np.asarray(cfg.get("lambda_grid", mcverify.DEFAULT_LAMBDAS), dtype=float)
         z_kind = cfg.get("z_kind", "cos_corner")
-        run = lambda nn, slack: mcverify.stable_convergence_check(
-            h, f, (1.0, 1.0), z_kind, lam, nn, m_reps, seed, slack)
+        run = lambda nn, grids: mcverify.stable_convergence_check(
+            h, f, (1.0, 1.0), z_kind, lam, nn, m_reps, seed, grids=grids)
         r_small, r_large, shrinks = _two_scale(run, n // 2, n)
         r_large.passed = bool(r_large.passed and shrinks)
         r_large.extra["gap_shrinks"] = shrinks

@@ -21,7 +21,11 @@ draws Z (m x m, m = n or 2n) with F_alpha and the half product F_alpha Z
 Reproducibility contract: replication r of a sample with a given purpose
 draws from the generator that ``replication_rng(seed, r, purpose)``
 returns. Identical (seed, replication, purpose) give identical fields no
-matter how replications are scheduled across workers.
+matter how replications are scheduled across workers. The draws fill
+their array in order, so the first k normals of a stream are the same
+whatever shape it fills: the (m_c, m_c) draws of a coarser grid are the
+first m_c^2 normals of the (m, m) draws of a finer one, and one draw
+serves both.
 """
 
 from __future__ import annotations

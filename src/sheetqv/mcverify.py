@@ -6,7 +6,7 @@ kernel-sum formula, quadrature, or the limiting-constant series. Limit
 statements have no rate attached, so limit checks are run at two grid sizes
 and must both shrink toward the reference and meet an absolute tolerance at
 the larger one; the recorded small-n gap is the "slack" added to the 4-sigma
-rule.
+rule. Both grids of a check are sampled in one pass over the same draws.
 """
 
 from __future__ import annotations
@@ -171,31 +171,43 @@ def mean_decay(
 # chunked sheet sampling
 
 
-def _rep_bytes(n: int, method: str) -> int:
+def _rep_bytes(n: int, method: str, coarse: int | None = None) -> int:
     """Bytes one replication holds while its chunk is in flight.
 
-    The draws Z, the half product F_alpha Z, and six cell-sized arrays: the
-    increments, the nodes and the temporaries of a chunk's work.
+    Per grid, the draws Z, the half product F_alpha Z, and six cell-sized
+    arrays: the increments, the nodes and the temporaries of a chunk's work.
+    A ``coarse`` grid's draws are a contiguous copy of a prefix of the fine
+    grid's.
     """
-    m = n if method == "cholesky" else 2 * n
-    return 8 * (m * m + n * m + 6 * (n + 1) ** 2)
+    total = 0
+    for g in (n,) if coarse is None else (n, coarse):
+        m = g if method == "cholesky" else 2 * g
+        total += 8 * (m * m + g * m + 6 * (g + 1) ** 2)
+    return total
 
 
-def _chunk_reps(n: int, method: str) -> int:
+def _chunk_reps(n: int, method: str, coarse: int | None = None) -> int:
     """Replications per chunk so that three chunks fit _CHUNK_BUDGET (at least 1).
 
     Three are in flight at most: the worker's, one drawn and waiting for it,
     and the one the calling thread finishes itself.
     """
-    return max(1, _CHUNK_BUDGET // (3 * _rep_bytes(n, method)))
+    return max(1, _CHUNK_BUDGET // (3 * _rep_bytes(n, method, coarse)))
 
 
-def _node_chunks(h, n, seed, M, work, rep_offset=0, purpose=PURPOSE_SHEET, method="cholesky"):
+def _node_chunks(h, n, seed, M, work, rep_offset=0, purpose=PURPOSE_SHEET, method="cholesky", coarse=None):
     """Run ``work(inc, nodes, rows)`` over replications rep_offset .. rep_offset+M-1 in chunks.
 
     ``work`` gets a chunk's increments (size, n, n), its nodes (size, n+1, n+1)
     and the slice of 0 .. M-1 they belong to, and writes its results into
     those rows of the caller's preallocated outputs.
+
+    ``coarse=(n_c, work_c)`` with n_c <= n also runs ``work_c`` on the n_c grid
+    of the same replications, in the same chunks. Z is drawn once, at n: the
+    draws of the n_c grid are the first m_c^2 normals of each replication's
+    stream (m_c the factor width at n_c), which are exactly what a pass at
+    n_c alone would draw. They are copied into a contiguous buffer before the
+    product, since a strided view handed to BLAS may change its bits.
 
     The calling thread draws every chunk (building the streams holds the GIL)
     and queues it for the one worker thread, which forms the products, the
@@ -211,27 +223,42 @@ def _node_chunks(h, n, seed, M, work, rep_offset=0, purpose=PURPOSE_SHEET, metho
     """
     from concurrent.futures import ThreadPoolExecutor  # only the Monte Carlo suites need it
 
-    fa = factor_1d(h.alpha, n, method)
-    fb = factor_1d(h.beta, n, method)
-    shape = (fa.shape[1], fb.shape[1])
-    size = _chunk_reps(n, method)
+    grids = [(n, work)] if coarse is None else [(n, work), coarse]
+    factors = [(factor_1d(h.alpha, g, method), factor_1d(h.beta, g, method), w) for g, w in grids]
+    m = factors[0][0].shape[1]
+    size = _chunk_reps(n, method, None if coarse is None else coarse[0])
     reps = min(size, M)
 
     def buffers():
-        return np.empty((reps, n, shape[1])), np.empty((reps, n, n)), np.zeros((reps, n + 1, n + 1))
+        # per grid: the draws (None at n: the drawn stack itself), F_alpha Z, increments, nodes
+        return [
+            (
+                np.empty((reps, fa.shape[1], fb.shape[1])) if k else None,
+                np.empty((reps, fa.shape[0], fb.shape[1])),
+                np.empty((reps, fa.shape[0], fb.shape[0])),
+                np.zeros((reps, fa.shape[0] + 1, fb.shape[0] + 1)),
+            )
+            for k, (fa, fb, _) in enumerate(factors)
+        ]
 
     def finish(z, bufs, chunk):
-        half, inc, nodes = (b[: z.shape[0]] for b in bufs)
-        np.matmul(fa, z, out=half)
-        np.matmul(half, fb.T, out=inc)
-        work(inc, prefix_nodes(inc, out=nodes), chunk)
+        k = z.shape[0]
+        for (fa, fb, grid_work), (zc, half, inc, nodes) in zip(factors, bufs):
+            zg = z
+            if zc is not None:
+                mc = fa.shape[1]
+                zg = zc[:k]
+                np.copyto(zg, z.reshape(k, m * m)[:, : mc * mc].reshape(k, mc, mc))
+            np.matmul(fa, zg, out=half[:k])
+            np.matmul(half[:k], fb.T, out=inc[:k])
+            grid_work(inc[:k], prefix_nodes(inc[:k], out=nodes[:k]), chunk)
 
     own, lent = buffers(), buffers()
     pending = deque()  # the worker's unfinished chunks, in order
     with ThreadPoolExecutor(1) as pool:
         for start in range(0, M, size):
             chunk = slice(start, min(start + size, M))
-            z = standard_normals(seed, rep_offset + start, chunk.stop - start, purpose, shape)
+            z = standard_normals(seed, rep_offset + start, chunk.stop - start, purpose, (m, m))
             while pending and pending[0].done():
                 pending.popleft().result()  # raises what the worker raised
             if len(pending) < 2:
@@ -285,6 +312,22 @@ def _pair_indices(idx: np.ndarray) -> np.ndarray:
     return np.minimum(idx[:, None, :], idx[None, :, :]).reshape(-1, 2)
 
 
+def _grid_pass(h, n, seed, M, grid, rep_offset=0, method="cholesky", coarse=None):
+    """Run the work of ``grid(size) -> (outputs, work)`` at n, and at ``coarse`` if given, in one pass.
+
+    The draws are made once, at n (see _node_chunks). Returns n's outputs,
+    or with ``coarse`` a dict from each grid size to its outputs.
+    """
+    out, work = grid(n)
+    outs = {n: out}
+    pair = None
+    if coarse is not None and coarse != n:
+        outs[coarse], coarse_work = grid(coarse)
+        pair = (coarse, coarse_work)
+    _node_chunks(h, n, seed, M, work, rep_offset=rep_offset, method=method, coarse=pair)
+    return out if coarse is None else outs
+
+
 def qv_point_samples(
     h: HurstPair,
     f: WeightFunction,
@@ -295,6 +338,7 @@ def qv_point_samples(
     rep_offset: int = 0,
     sheet_functional=None,
     method: str = "cholesky",
+    coarse: int | None = None,
 ):
     """Monte Carlo samples of the statistic at the given time points.
 
@@ -303,18 +347,56 @@ def qv_point_samples(
     given, else None. ``sheet_functional`` runs one chunk of replications at
     a time, on the calling thread or on a worker thread, so it must not touch
     state shared with the caller.
+
+    A ``coarse`` grid size <= n samples the same replications on that grid
+    too, from the same draws, and the result is a dict from each grid size
+    to its (X, Z).
     """
-    idx = _point_indices(n, points)
-    xs = np.empty((M, len(points)))
-    zs = np.empty(M) if sheet_functional is not None else None
 
-    def work(inc, nodes, rows):
-        xs[rows] = _corner_sums(summands(h, nodes, inc, f), idx) / n
-        if zs is not None:
-            zs[rows] = sheet_functional(nodes)
+    def grid(g):
+        idx = _point_indices(g, points)
+        xs = np.empty((M, len(points)))
+        zs = np.empty(M) if sheet_functional is not None else None
 
-    _node_chunks(h, n, seed, M, work, rep_offset=rep_offset, method=method)
-    return xs, zs
+        def work(inc, nodes, rows):
+            xs[rows] = _corner_sums(summands(h, nodes, inc, f), idx) / g
+            if zs is not None:
+                zs[rows] = sheet_functional(nodes)
+
+        return (xs, zs), work
+
+    return _grid_pass(h, n, seed, M, grid, rep_offset, method, coarse)
+
+
+# ---------------------------------------------------------------------------
+# two-scale records
+
+
+def _record_sizes(n: int, grids) -> tuple:
+    """The grid sizes a check reports on: ``grids``, whose largest must be n, or just n."""
+    if grids is None:
+        return (n,)
+    if max(grids) != n:
+        raise ValueError(f"n={n} must be the largest of the grid sizes {list(grids)}")
+    return tuple(grids)
+
+
+def _gap(r: VerifyReport) -> float:
+    """How far a limit check's estimate is from its reference."""
+    return r.extra.get("sup_diff", r.extra.get("gap", 0.0))
+
+
+def _records(record, sizes, slack, grids):
+    """``record(size, slack)`` for each size in order, each after the first judged
+    with the previous record's gap as its slack.
+
+    Returns the list, or without ``grids`` the one record.
+    """
+    reports = []
+    for g in sizes:
+        reports.append(record(g, slack))
+        slack = _gap(reports[-1])
+    return reports if grids is not None else reports[0]
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +411,19 @@ def second_moment_limit(
     M: int,
     seed: int,
     slack: float = 0.0,
-) -> VerifyReport:
+    grids=None,
+):
     """MC second moment of X^n_t vs the limiting value from the covariance series.
 
     Reference: sigma^2 * int_0^{t1} int_0^{t2} E[f^2(W(u,v))] du dv with the
     inner expectation by closed form or Gauss-Hermite quadrature.
+
+    With ``grids`` (sizes whose largest is n) it returns one record per size,
+    in order, all from one pass of draws at n; the first is judged with
+    ``slack``, each later one with the previous record's gap.
     """
-    xs, _ = qv_point_samples(h, f, n, M, seed, [t])
-    sq = xs[:, 0] ** 2
-    est = float(sq.mean())
-    se = float(sq.std(ddof=1) / math.sqrt(M))
+    sizes = _record_sizes(n, grids)
+    samples = qv_point_samples(h, f, n, M, seed, [t], coarse=min(sizes))
     sig2 = sigma_of(h, 1e-10) ** 2
 
     def integrand(u, v):
@@ -346,16 +431,25 @@ def second_moment_limit(
         return np.vectorize(lambda vv: moment_m(f, vv))(var)
 
     ref = sig2 * gauss_legendre_2d(integrand, t[0], t[1])
-    return VerifyReport(
-        test="second_moment_limit",
-        params={"alpha": h.alpha, "beta": h.beta, "f": f.kind, "t": list(t), "n": n, "M": M, "seed": seed},
-        estimate=est,
-        se=se,
-        reference=ref,
-        provenance="series + quadrature",
-        passed=abs(est - ref) <= 4.0 * se + slack,
-        extra={"gap": abs(est - ref)},
-    )
+
+    def record(g, slack):
+        sq = samples[g][0][:, 0] ** 2
+        est = float(sq.mean())
+        se = float(sq.std(ddof=1) / math.sqrt(M))
+        return VerifyReport(
+            test="second_moment_limit",
+            params={
+                "alpha": h.alpha, "beta": h.beta, "f": f.kind, "t": list(t), "n": g, "M": M, "seed": seed,
+            },
+            estimate=est,
+            se=se,
+            reference=ref,
+            provenance="series + quadrature",
+            passed=abs(est - ref) <= 4.0 * se + slack,
+            extra={"gap": abs(est - ref)},
+        )
+
+    return _records(record, sizes, slack, grids)
 
 
 # ---------------------------------------------------------------------------
@@ -376,34 +470,63 @@ def build_Q(nodes: np.ndarray, f: WeightFunction, sigma_val: float, points) -> n
     return mat
 
 
-def _q_quadform_samples(h, f, n, M, seed, rep_offset, points, sigma_val, lambdas):
-    """Per-replication exp(-1/2 lam' Q lam) over independent sheet samples."""
+def _q_quadform_samples(h, f, n, M, seed, rep_offset, points, sigma_val, lambdas, coarse=None):
+    """Per-replication exp(-1/2 lam' Q lam) over independent sheet samples.
+
+    ``coarse`` as in qv_point_samples.
+    """
     lam = np.asarray(lambdas)  # (L, m)
-    out = np.empty((M, lam.shape[0]))
 
-    def work(_, nodes, rows):
-        q = build_Q(nodes, f, sigma_val, points)
-        out[rows] = np.exp(-0.5 * np.einsum("la,rab,lb->rl", lam, q, lam))
+    def grid(_):
+        out = np.empty((M, lam.shape[0]))
 
-    _node_chunks(h, n, seed, M, work, rep_offset=rep_offset)
-    return out
+        def work(_, nodes, rows):
+            q = build_Q(nodes, f, sigma_val, points)
+            out[rows] = np.exp(-0.5 * np.einsum("la,rab,lb->rl", lam, q, lam))
+
+        return out, work
+
+    return _grid_pass(h, n, seed, M, grid, rep_offset, coarse=coarse)
 
 
-def bootstrap_se(values: np.ndarray, seed: int, resamples: int = _BOOT_RESAMPLES) -> np.ndarray:
+def bootstrap_se(values, seed: int, resamples: int = _BOOT_RESAMPLES):
     """Bootstrap standard error of the column means of ``values`` (M, K).
 
     Deterministic given ``seed``; complex input gets the quadrature-combined
-    SE of real and imaginary parts.
+    SE of real and imaginary parts. ``values`` may also be a list of such
+    arrays with one M and one dtype: the seed's weights are drawn once and
+    resample each of them, and the result is the list of their SEs.
+
+    The weights are built in the dtype the product ``weights @ values``
+    computes in, so it casts nothing, from multinomial draws of about 1 MiB
+    of counts at a time: consecutive draws of k rows from one generator give
+    the rows of one draw of them all. So one block of counts is all the
+    memory the weights need beyond themselves.
     """
-    m = values.shape[0]
+    arrays = [values] if isinstance(values, np.ndarray) else values
+    m = arrays[0].shape[0]
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, PURPOSE_BOOT)))
-    weights = rng.multinomial(m, np.full(m, 1.0 / m), size=resamples) / m
-    means = weights @ values.reshape(m, -1)
-    if np.iscomplexobj(values):
-        se = np.sqrt(means.real.var(axis=0, ddof=1) + means.imag.var(axis=0, ddof=1))
-    else:
-        se = means.std(axis=0, ddof=1)
-    return se.reshape(values.shape[1:])
+    pvals = np.full(m, 1.0 / m)
+    weights = np.empty((resamples, m), np.result_type(np.float64, arrays[0]))
+    block = max(1, (1 << 20) // (8 * m))
+    for start in range(0, resamples, block):
+        rows = weights[start : start + block]
+        np.divide(rng.multinomial(m, pvals, size=rows.shape[0]), m, out=rows)
+    ses = []
+    for v in arrays:
+        means = weights @ v.reshape(m, -1)
+        if np.iscomplexobj(v):
+            se = np.sqrt(means.real.var(axis=0, ddof=1) + means.imag.var(axis=0, ddof=1))
+        else:
+            se = means.std(axis=0, ddof=1)
+        ses.append(se.reshape(v.shape[1:]))
+    return ses[0] if isinstance(values, np.ndarray) else ses
+
+
+def _means_and_ses(samples: dict, seed: int) -> dict:
+    """Per grid size, the column means of its samples and their SE under the seed's one set of weights."""
+    ses = bootstrap_se(list(samples.values()), seed)
+    return {g: (s.mean(axis=0), se) for (g, s), se in zip(samples.items(), ses)}
 
 
 def lambda_product_grid(m: int, per_coord=DEFAULT_LAMBDAS) -> np.ndarray:
@@ -439,12 +562,14 @@ def charfn_compare(
     M: int,
     seed: int,
     slack: float = 0.0,
-) -> VerifyReport:
+    grids=None,
+):
     """Empirical characteristic function of the statistic vs the closed form.
 
     The reference E[exp(-1/2 lam' Q lam)] is averaged over an independent set
     of sheet samples (replication indices offset by M). Pass rule: for every
     lambda on the grid, |empirical - reference| <= 4 * combined SE + slack.
+    ``grids`` as in second_moment_limit.
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim == 1:
@@ -452,24 +577,24 @@ def charfn_compare(
     if np.abs(lam).max() > MAX_CHARFN_LAMBDA:
         raise ValueError(f"lambda grid must satisfy |lambda| <= {MAX_CHARFN_LAMBDA:g} per coordinate")
     sigma_val = sigma_of(h, 1e-10)
+    sizes = _record_sizes(n, grids)
 
-    xs, _ = qv_point_samples(h, f, n, M, seed, points)
-    emp_samples = np.exp(1j * xs @ lam.T)  # (M, L)
-    emp = emp_samples.mean(axis=0)
-    emp_se = bootstrap_se(emp_samples, seed)
+    samples = qv_point_samples(h, f, n, M, seed, points, coarse=min(sizes))
+    emp = _means_and_ses({g: np.exp(1j * xs @ lam.T) for g, (xs, _) in samples.items()}, seed)
+    ref_samples = _q_quadform_samples(h, f, n, M, seed, M, points, sigma_val, lam, coarse=min(sizes))
+    ref = _means_and_ses(ref_samples, seed + 1)
 
-    ref_samples = _q_quadform_samples(h, f, n, M, seed, M, points, sigma_val, lam)
-    ref = ref_samples.mean(axis=0)
-    ref_se = bootstrap_se(ref_samples, seed + 1)
+    def record(g, slack):
+        params = {
+            "alpha": h.alpha, "beta": h.beta, "f": f.kind,
+            "points": [list(p) for p in points], "n": g, "M": M, "seed": seed,
+        }
+        return _sup_diff_report(
+            "charfn_compare", params, "closed-form conditional charfn over independent sheet MC",
+            *emp[g], *ref[g], slack,
+        )
 
-    params = {
-        "alpha": h.alpha, "beta": h.beta, "f": f.kind,
-        "points": [list(p) for p in points], "n": n, "M": M, "seed": seed,
-    }
-    return _sup_diff_report(
-        "charfn_compare", params, "closed-form conditional charfn over independent sheet MC",
-        emp, emp_se, ref, ref_se, slack,
-    )
+    return _records(record, sizes, slack, grids)
 
 
 def stable_convergence_check(
@@ -482,12 +607,14 @@ def stable_convergence_check(
     M: int,
     seed: int,
     slack: float = 0.0,
-) -> VerifyReport:
+    grids=None,
+):
     """Test E[exp(i lam X^n_t) Z] against the conditional-Gaussian identity.
 
     Z is a bounded functional of the sheet; the right side is
     E[Z exp(-1/2 lam^2 sigma^2 int_{[0,t]} f^2(W))] over independent sheet
-    samples. At lam = 0 both sides estimate E[Z].
+    samples. At lam = 0 both sides estimate E[Z]. ``grids`` as in
+    second_moment_limit.
     """
     lam = np.asarray(lambdas, dtype=float).ravel()
     sigma_val = sigma_of(h, 1e-10)
@@ -498,33 +625,41 @@ def stable_convergence_check(
         functional = lambda nodes: (nodes[:, nodes.shape[1] // 2, nodes.shape[2] // 2] > 0).astype(float)
     else:
         raise ValueError(f"unknown Z kind {z_kind!r}")
+    sizes = _record_sizes(n, grids)
 
-    xs, z = qv_point_samples(h, f, n, M, seed, [t], sheet_functional=functional)
-    left_samples = z[:, None] * np.exp(1j * np.outer(xs[:, 0], lam))
-    left = left_samples.mean(axis=0)
-    left_se = bootstrap_se(left_samples, seed)
-
-    idx = _point_indices(n, [t])
-    zr = np.empty(M)
-    vr = np.empty(M)
-
-    def work(_, nodes, rows):
-        zr[rows] = functional(nodes)
-        vr[rows] = _f2_sums(f, nodes, idx)[:, 0] / (n * n)
-
-    _node_chunks(h, n, seed, M, work, rep_offset=M)
-    right_samples = zr[:, None] * np.exp(-0.5 * np.outer(vr, lam**2) * sigma_val**2)
-    right = right_samples.mean(axis=0)
-    right_se = bootstrap_se(right_samples, seed + 1)
-
-    params = {
-        "alpha": h.alpha, "beta": h.beta, "f": f.kind, "t": list(t),
-        "Z": z_kind, "n": n, "M": M, "seed": seed,
-    }
-    return _sup_diff_report(
-        "stable_convergence", params, "conditional-Gaussian identity over independent sheet MC",
-        left, left_se, right, right_se, slack,
+    samples = qv_point_samples(h, f, n, M, seed, [t], sheet_functional=functional, coarse=min(sizes))
+    left = _means_and_ses(
+        {g: z[:, None] * np.exp(1j * np.outer(xs[:, 0], lam)) for g, (xs, z) in samples.items()}, seed
     )
+
+    def grid(g):
+        idx = _point_indices(g, [t])
+        zr = np.empty(M)
+        vr = np.empty(M)
+
+        def work(_, nodes, rows):
+            zr[rows] = functional(nodes)
+            vr[rows] = _f2_sums(f, nodes, idx)[:, 0] / (g * g)
+
+        return (zr, vr), work
+
+    refs = _grid_pass(h, n, seed, M, grid, rep_offset=M, coarse=min(sizes))
+    right = _means_and_ses(
+        {g: zr[:, None] * np.exp(-0.5 * np.outer(vr, lam**2) * sigma_val**2) for g, (zr, vr) in refs.items()},
+        seed + 1,
+    )
+
+    def record(g, slack):
+        params = {
+            "alpha": h.alpha, "beta": h.beta, "f": f.kind, "t": list(t),
+            "Z": z_kind, "n": g, "M": M, "seed": seed,
+        }
+        return _sup_diff_report(
+            "stable_convergence", params, "conditional-Gaussian identity over independent sheet MC",
+            *left[g], *right[g], slack,
+        )
+
+    return _records(record, sizes, slack, grids)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,9 @@ def sigma_squared_partial(h: HurstPair, cutoff: int) -> SeriesResult:
     tb = _axis_tail(h.beta, cutoff)
     value = 0.125 * sa * sb
     tail = 0.125 * ((sa + ta) * (sb + tb) - sa * sb)
+    if tail <= 0.0 and (ta > 0.0 or tb > 0.0):
+        # the difference cancelled: the tails are below an ulp of the axis sums
+        tail = 0.125 * (sa * tb + sb * ta + ta * tb)
     return SeriesResult(value=value, cutoff=cutoff, tail_bound=tail)
 
 

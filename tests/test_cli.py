@@ -222,6 +222,30 @@ def test_verify_ks_small(capsys):
     assert recs[0]["extra"]["p_value"] > 1e-3
 
 
+# Both records of a decreasing --n-list as the two grids' separate passes
+# printed them: the n = 20 record first, the n = 7 record judged with its gap.
+_VAR_PARAMS = {"alpha": 0.35, "beta": 0.35, "f": "identity", "t": [1, 1], "M": 200, "seed": 1}
+_VAR_REF = {"reference": 0.8040265166757653, "provenance": "series + quadrature"}
+VAR_20_7_RECORDS = [
+    {"test": "second_moment_limit", "params": {**_VAR_PARAMS, "n": 20},
+     "estimate": 0.8798624010296411, "se": 0.1391961775621506, **_VAR_REF,
+     "pass": True, "extra": {"gap": 0.07583588435387578}},
+    {"test": "second_moment_limit", "params": {**_VAR_PARAMS, "n": 7},
+     "estimate": 0.660372543560465, "se": 0.1065855036986599, **_VAR_REF,
+     "pass": False, "extra": {"gap": 0.14365397311530026, "relative_gap": 0.17866820326925945,
+                              "gap_shrinks": False}},
+]
+
+
+def test_verify_var_decreasing_n_list_prints_the_one_grid_records(capsys):
+    code, recs, _ = run(
+        capsys, "verify", "--which", "var", "--alpha", "0.35", "--beta", "0.35",
+        "--seed", "1", "--M", "200", "--n-list", "20", "7",
+    )
+    assert code == EXIT_TEST_FAILURE
+    assert recs == VAR_20_7_RECORDS
+
+
 _KS_ARGV = ("verify", "--which", "ks", "--M", "200", "--n", "8", "--seed", "1")
 
 

@@ -16,6 +16,7 @@ from sheetqv.fieldsim import (
     read_field,
     replication_rng,
     sample_increments,
+    standard_normals,
     write_field,
 )
 from sheetqv.kernel import HurstPair, cov_point, incr_cov, rho_array
@@ -33,6 +34,15 @@ def increment_stack(h, n, seed, reps, method="cholesky"):
 
     _node_chunks(h, n, seed, reps, work, method=method)
     return stack
+
+
+@pytest.mark.parametrize("purpose", [PURPOSE_SHEET, 2])
+@pytest.mark.parametrize("mc,m", [(7, 15), (15, 64), (32, 64), (64, 128)])
+def test_coarse_draws_are_a_prefix_of_the_fine_draws(mc, m, purpose):
+    # the stream contract the shared two-grid pass rests on
+    fine = standard_normals(11, 5, 3, purpose, (m, m))
+    coarse = standard_normals(11, 5, 3, purpose, (mc, mc))
+    assert np.array_equal(fine.reshape(3, -1)[:, : mc * mc].reshape(3, mc, mc), coarse)
 
 
 def test_increment_cov_1d_matches_2d_kernel():

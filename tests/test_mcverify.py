@@ -410,6 +410,54 @@ def test_bootstrap_se_complex_input():
     assert se[0] == pytest.approx(analytic, rel=0.4)
 
 
+def _bootstrap_weights_one_draw(m, seed, resamples):
+    """The weights as one multinomial draw of every row, divided in a fresh array."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, mcverify.PURPOSE_BOOT)))
+    return rng.multinomial(m, np.full(m, 1.0 / m), size=resamples) / m
+
+
+def _bootstrap_se_one_draw(weights, values):
+    """bootstrap_se as it was written with the weights above: the bit-for-bit reference."""
+    m = values.shape[0]
+    means = weights @ values.reshape(m, -1)
+    if np.iscomplexobj(values):
+        se = np.sqrt(means.real.var(axis=0, ddof=1) + means.imag.var(axis=0, ddof=1))
+    else:
+        se = means.std(axis=0, ddof=1)
+    return se.reshape(values.shape[1:])
+
+
+@pytest.mark.parametrize("resamples", [2, 200, 201])
+@pytest.mark.parametrize("M", [2, 3, 129, 1000, 5000, 5001])
+def test_bootstrap_se_equals_one_draw_of_the_weights(M, resamples):
+    # real and complex values of five shapes; the list form shares one set of weights
+    rng = np.random.default_rng(M + resamples)
+    weights = _bootstrap_weights_one_draw(M, 17, resamples)
+    for cplx in (False, True):
+        arrays = []
+        for tail in [(), (1,), (6,), (36,), (2, 3)]:
+            v = rng.standard_normal((M, *tail))
+            arrays.append(v + 1j * rng.standard_normal((M, *tail)) if cplx else v)
+        want = [_bootstrap_se_one_draw(weights, v) for v in arrays]
+        got = bootstrap_se(arrays, 17, resamples)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(bootstrap_se(arrays[2], 17, resamples), want[2])
+
+
+def test_bootstrap_se_holds_only_the_weights():
+    # complex (5000, 36) values: the weights are 15.3 MiB of complex128 and
+    # nothing but one block of counts and the small means is added to them
+    values = np.random.default_rng(4).standard_normal((5000, 36)) * (1 + 1j)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        bootstrap_se(values, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 5000 * 16 + (2 << 20)
+
+
 def test_lambda_product_grid():
     g = lambda_product_grid(2)
     assert g.shape == (len(DEFAULT_LAMBDAS) ** 2, 2)
@@ -447,6 +495,37 @@ def test_build_q_constant_weight_closed_form():
     want = 1.5**2 * np.array([[0.5, 0.25], [0.25, 0.5]])
     assert np.allclose(q, want, rtol=1e-12)
     assert np.array_equal(q, q.T)
+
+
+def _one_grid_records(check, sizes):
+    """Records of separate one-grid runs, the second judged with the first one's gap as slack."""
+    first = check(sizes[0], slack=0.0)
+    gap = first.extra.get("sup_diff", first.extra.get("gap"))
+    return [first.to_dict(), check(sizes[1], slack=gap).to_dict()]
+
+
+@pytest.mark.parametrize("sizes", [(1, 2), (4, 8), (7, 15), (20, 7)])
+def test_two_scale_records_equal_the_one_grid_runs(monkeypatch, sizes):
+    monkeypatch.setattr(mcverify, "sigma_of", lambda h, tol: 0.7)  # the series is not under test
+    M, seed, n = 300, 23, max(sizes)
+    lam = lambda_product_grid(2, (-1.0, 0.5))
+    points = [(0.5, 1.0), (1.0, 0.5)]
+    checks = [
+        lambda nn, **kw: second_moment_limit(H, weight("identity"), (1.0, 1.0), nn, M, seed, **kw),
+        lambda nn, **kw: charfn_compare(H, weight("cosine"), points, lam, nn, M, seed, **kw),
+    ] + [
+        lambda nn, z=z, **kw: stable_convergence_check(
+            H, weight("identity"), (1.0, 1.0), z, [0.0, 1.0], nn, M, seed, **kw)
+        for z in ("cos_corner", "indicator_center")
+    ]
+    for check in checks:
+        shared = [r.to_dict() for r in check(n, grids=sizes)]
+        assert shared == _one_grid_records(check, sizes)
+
+
+def test_two_scale_check_draws_at_the_largest_grid():
+    with pytest.raises(ValueError, match="largest"):
+        second_moment_limit(H, weight("identity"), (1.0, 1.0), 8, 10, 1, grids=(4, 6))
 
 
 def test_charfn_compare_small_run_passes():

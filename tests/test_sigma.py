@@ -108,6 +108,18 @@ def test_sigma_tolerance_is_honored():
     assert abs(tight - SIGMA2_035_035) <= 1e-9 * SIGMA2_035_035
 
 
+def test_tail_bound_survives_tails_below_an_ulp_of_the_axis_sums(monkeypatch):
+    # the axis sum and tail at alpha = beta = 0.3 near cutoff 1e8, without walking the series:
+    # (s + t)^2 - s^2 rounds to 0 there, and the bound must not claim sigma^2 exactly
+    s, t = 4.5, 2.5e-16
+    monkeypatch.setattr(sigma_module, "_axis_sum_sq", lambda gamma, cutoff: s)
+    monkeypatch.setattr(sigma_module, "_axis_tail", lambda gamma, cutoff: t)
+    assert 0.125 * ((s + t) * (s + t) - s * s) == 0.0
+    res = sigma_squared_partial(HurstPair(0.3, 0.3), 10**8)
+    assert res.value == 0.125 * s * s
+    assert res.tail_bound == 0.125 * (s * t + s * t + t * t) > 0.0
+
+
 def _axis_sum_sq_one_list(gamma, cutoff):
     """The axis sum with every term in one list: the streamed sum's oracle."""
     terms = rho_array(gamma, np.arange(1, cutoff + 1)) ** 2
