@@ -217,11 +217,13 @@ def _at_least(what: str, value, least: int) -> int:
     return value
 
 
-def _grid_size(what: str, value, least: int = 1) -> int:
-    """A grid size the samplers can factor: least <= n <= fieldsim._MAX_N."""
+def _grid_size(
+    what: str, value, least: int = 1, most: int = fieldsim._MAX_N, why: str = "dense-factor budget"
+) -> int:
+    """A grid size least <= n <= most; by default one the samplers can factor."""
     n = _at_least(what, value, least)
-    if n > fieldsim._MAX_N:
-        raise ConfigError(f"{what} must be at most {fieldsim._MAX_N} (dense-factor budget), got {n}")
+    if n > most:
+        raise ConfigError(f"{what} must be at most {most} ({why}), got {n}")
     return n
 
 
@@ -237,7 +239,10 @@ def cmd_verify(cfg: dict) -> int:
     reports: list[mcverify.VerifyReport] = []
 
     if which == "mean":
-        n_list = [_at_least("--n-list size", v, 1) for v in cfg.get("n_list", [8, 16, 32, 64, 128])]
+        n_list = [
+            _grid_size("--n-list size", v, most=mcverify.MAX_MEAN_N, why="the exact mean sums n^2 terms")
+            for v in cfg.get("n_list", [8, 16, 32, 64, 128])
+        ]
         if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ConfigError("--which mean needs at least 2 strictly increasing --n-list sizes")
         reports.append(mcverify.mean_decay(h, qvmod.weight("square"), (1.0, 1.0), n_list))

@@ -98,6 +98,30 @@ def _corner_inner_1d(gamma: float, count: int, n: int) -> np.ndarray:
     return 0.5 * (b ** (2.0 * gamma) - a ** (2.0 * gamma) - float(n) ** (-2.0 * gamma))
 
 
+# Terms exact_mean forms at once: 512 KiB per array.
+_MEAN_LEAF = 1 << 16
+# Largest n the CLI asks the exact mean for. Its time is O(n^2): the 4.3e9
+# terms at 2^16 took 8 s for f = square on one x86-64 core.
+MAX_MEAN_N = 1 << 16
+
+
+def _pairwise_sum(leaf, start: int, count: int):
+    """``np.sum`` of ``count`` flat terms from ``start``, formed ``leaf`` by leaf.
+
+    numpy sums a contiguous float64 array pairwise: a range of more than 128
+    terms is split at count // 2, rounded down to a multiple of 8, and the
+    two halves' sums are added. This splits the same way down to ranges of
+    at most _MEAN_LEAF terms and adds ``leaf(start, count)``, the ``np.sum``
+    of that range, so it returns the float ``np.sum`` of the whole array
+    would, without the array.
+    """
+    if count <= _MEAN_LEAF:
+        return leaf(start, count)
+    half = count // 2
+    half -= half % 8
+    return _pairwise_sum(leaf, start, half) + _pairwise_sum(leaf, start + half, count - half)
+
+
 def exact_mean(h: HurstPair, f: WeightFunction, n: int, t: tuple[float, float]) -> float:
     """Exact (quadrature-accurate) finite-n mean of the statistic at t.
 
@@ -105,27 +129,32 @@ def exact_mean(h: HurstPair, f: WeightFunction, n: int, t: tuple[float, float]) 
     where inner is the corner-rectangle/cell inner product; it factorizes
     across the two axes. Identically zero whenever f'' == 0.
 
-    The n1 x n2 node variances live only until E[f''] is formed from them,
-    and the squared inner products are multiplied by E[f''] in place, so
-    at most two n1 x n2 arrays are live, one where E[f''] is a constant.
-    The one pairwise sum adds the values a fresh product would hold, in
-    the same order.
+    The n1 x n2 terms are summed by ``_pairwise_sum`` in leaves of at most
+    _MEAN_LEAF terms, each formed from the rows it spans, so memory is
+    O(n + _MEAN_LEAF) and the sum is that of the whole term array. Time is
+    O(n1 n2).
     """
     n1, n2 = int(np.floor(n * t[0])), int(np.floor(n * t[1]))
     if n1 == 0 or n2 == 0:
         return 0.0
     va = ((np.arange(1, n1 + 1) - 1.0) / n) ** (2.0 * h.alpha)
     vb = ((np.arange(1, n2 + 1) - 1.0) / n) ** (2.0 * h.beta)
-    if f.d2_mean is not None:  # closed forms take arrays; constants broadcast below
-        e2 = np.asarray(f.d2_mean(np.outer(va, vb)), dtype=float)
+    if f.d2_mean is not None:  # closed forms take arrays; constants broadcast
+        e2 = f.d2_mean
     else:
-        e2 = np.vectorize(lambda vv: d2_mean_at(f, vv))(np.outer(va, vb))
+        e2 = np.vectorize(lambda vv: d2_mean_at(f, vv))
     da = _corner_inner_1d(h.alpha, n1, n)
     db = _corner_inner_1d(h.beta, n2, n)
-    terms = np.outer(da * da, db * db)
-    terms *= e2
+    da2, db2 = da * da, db * db
+
+    def leaf(start, count):
+        r0, c0 = divmod(start, n2)
+        rows = slice(r0, -(-(start + count) // n2))
+        terms = e2(np.outer(va[rows], vb)) * np.outer(da2[rows], db2)
+        return np.sum(terms.ravel()[c0 : c0 + count])
+
     scale = float(n) ** (2.0 * (h.alpha + h.beta) - 1.0)
-    return float(scale * np.sum(terms))
+    return float(scale * _pairwise_sum(leaf, 0, n1 * n2))
 
 
 def mean_decay(
@@ -703,58 +732,99 @@ def _k_arr(gamma, s1, s2):
     return 0.5 * (p(s1) + p(s2) - p(s1 - s2))
 
 
+def _axis_incr_cov(gamma, n, a, b):
+    # E[(B(a/n) - B((a-1)/n)) (B(b/n) - B((b-1)/n))] from the 1D kernel
+    return (
+        _k_arr(gamma, a / n, b / n)
+        - _k_arr(gamma, a / n, (b - 1) / n)
+        - _k_arr(gamma, (a - 1) / n, b / n)
+        + _k_arr(gamma, (a - 1) / n, (b - 1) / n)
+    )
+
+
+def _axis_point_incr(gamma, n, p, b):
+    # E[B(p) (B(b/n) - B((b-1)/n))]
+    return _k_arr(gamma, p, b / n) - _k_arr(gamma, p, (b - 1) / n)
+
+
+# Cases whose kernel values are formed at once: each temporary is 64 KiB.
+_CASE_BLOCK = 8192
+
+
+def _oracle_pairs(alphas, betas, ns, ii, jj, kk, ll):
+    """(direct, oracle) values of incr_cov and of delta_incr_inner, case by case.
+
+    The oracle is the signed 16-term cov_point expansion, factorized per axis
+    into 4 signed kernel terms. Every operation is elementwise, so a block of
+    cases gets the values the whole arrays would.
+    """
+    from .kernel import delta_incr_inner, incr_cov
+
+    h = HurstPair(alphas, betas)
+    return (
+        incr_cov(h, ns, ii, jj, kk, ll),
+        _axis_incr_cov(alphas, ns, ii, kk) * _axis_incr_cov(betas, ns, jj, ll),
+        delta_incr_inner(h, ns, kk, ll, ii, jj),
+        _axis_point_incr(alphas, ns, (kk - 1) / ns, ii)
+        * _axis_point_incr(betas, ns, (ll - 1) / ns, jj),
+    )
+
+
+def _rect_bound_sides(a2, b2, s1, t1, s2, t2, l1, l2):
+    """|point/rectangle covariance| and its bound |t1-s1|^{2a} |t2-s2|^{2b}, case by case."""
+    vals = np.abs(
+        (_k_arr(a2, l1, t1) - _k_arr(a2, l1, s1)) * (_k_arr(b2, l2, t2) - _k_arr(b2, l2, s2))
+    )
+    return vals, np.abs(t1 - s1) ** (2 * a2) * np.abs(t2 - s2) ** (2 * b2)
+
+
+def _worst_oracle_gaps(rng, cases):
+    """Largest |direct - oracle| of both oracle checks over ``cases`` drawn cases.
+
+    A NaN anywhere is the result, as with one ``max`` over all cases.
+    """
+    alphas, betas = _random_admissible_arrays(rng, cases)
+    ns = rng.integers(2, 33, cases)
+    ii, jj, kk, ll = (rng.integers(1, ns + 1) for _ in range(4))
+    gaps = []
+    for lo in range(0, cases, _CASE_BLOCK):
+        b = slice(lo, lo + _CASE_BLOCK)
+        d_incr, o_incr, d_delta, o_delta = _oracle_pairs(
+            alphas[b], betas[b], ns[b], ii[b], jj[b], kk[b], ll[b]
+        )
+        gaps.append((np.abs(d_incr - o_incr).max(), np.abs(d_delta - o_delta).max()))
+    return np.maximum.reduce(gaps)
+
+
+def _rect_bound_violations(rng, cases):
+    """How many of ``cases`` drawn rectangles break the covariance bound."""
+    a2, b2 = _random_admissible_arrays(rng, cases)
+    s1, t1 = np.sort(rng.uniform(0.0, 1.0, (2, cases)), axis=0)
+    s2, t2 = np.sort(rng.uniform(0.0, 1.0, (2, cases)), axis=0)
+    l1, l2 = rng.uniform(0.0, 1.0, (2, cases))
+    violations = 0
+    for lo in range(0, cases, _CASE_BLOCK):
+        b = slice(lo, lo + _CASE_BLOCK)
+        vals, bounds = _rect_bound_sides(a2[b], b2[b], s1[b], t1[b], s2[b], t2[b], l1[b], l2[b])
+        violations += int(np.sum(vals > bounds + 1e-12))
+    return violations
+
+
 def kernel_property_suite(cases: int, seed: int) -> list[VerifyReport]:
     """Randomized oracle-equivalence and bound checks on the kernel module.
 
     Three reports: increment covariance vs its signed cov_point expansion,
     the corner-rectangle inner product vs the same oracle, and the
     |t1-s1|^{2a} |t2-s2|^{2b} bound on point/rectangle covariances in the
-    admissible regime. The kernel functions under test are called once each,
-    on arrays holding every case. The oracle side is a vectorized
+    admissible regime. The kernel functions under test are called once per
+    block of _CASE_BLOCK cases. The oracle side is a vectorized
     tensor-product expansion independent of the lag-based path it checks.
+    The oracle checks' cases are drawn and checked first, then the bound
+    check's, so one check's drawn cases are held at a time.
     """
-    from .kernel import delta_incr_inner, incr_cov
-
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 3)))
-    alphas, betas = _random_admissible_arrays(rng, cases)
-    ns = rng.integers(2, 33, cases)
-    ii, jj, kk, ll = (rng.integers(1, ns + 1) for _ in range(4))
-
-    # signed 16-term expansion, factorized per axis into 4 signed kernel terms
-    def axis_incr_cov(gamma, n, a, b):
-        # E[(B(a/n) - B((a-1)/n)) (B(b/n) - B((b-1)/n))] from the 1D kernel
-        return (
-            _k_arr(gamma, a / n, b / n)
-            - _k_arr(gamma, a / n, (b - 1) / n)
-            - _k_arr(gamma, (a - 1) / n, b / n)
-            + _k_arr(gamma, (a - 1) / n, (b - 1) / n)
-        )
-
-    oracle_incr = axis_incr_cov(alphas, ns, ii, kk) * axis_incr_cov(betas, ns, jj, ll)
-    h = HurstPair(alphas, betas)
-    direct_incr = incr_cov(h, ns, ii, jj, kk, ll)
-    worst_incr = float(np.abs(direct_incr - oracle_incr).max())
-
-    def axis_point_incr(gamma, n, p, b):
-        # E[B(p) (B(b/n) - B((b-1)/n))]
-        return _k_arr(gamma, p, b / n) - _k_arr(gamma, p, (b - 1) / n)
-
-    oracle_delta = axis_point_incr(alphas, ns, (kk - 1) / ns, ii) * axis_point_incr(
-        betas, ns, (ll - 1) / ns, jj
-    )
-    direct_delta = delta_incr_inner(h, ns, kk, ll, ii, jj)
-    worst_delta = float(np.abs(direct_delta - oracle_delta).max())
-
-    # Lemma-style bound on randomized continuous rectangles
-    a2, b2 = _random_admissible_arrays(rng, cases)
-    s1, t1 = np.sort(rng.uniform(0.0, 1.0, (2, cases)), axis=0)
-    s2, t2 = np.sort(rng.uniform(0.0, 1.0, (2, cases)), axis=0)
-    l1, l2 = rng.uniform(0.0, 1.0, (2, cases))
-    vals = np.abs(
-        (_k_arr(a2, l1, t1) - _k_arr(a2, l1, s1)) * (_k_arr(b2, l2, t2) - _k_arr(b2, l2, s2))
-    )
-    bounds = np.abs(t1 - s1) ** (2 * a2) * np.abs(t2 - s2) ** (2 * b2)
-    violations = int(np.sum(vals > bounds + 1e-12))
+    worst_incr, worst_delta = map(float, _worst_oracle_gaps(rng, cases))
+    violations = _rect_bound_violations(rng, cases)
 
     params = {"cases": cases, "seed": seed}
     return [

@@ -38,14 +38,6 @@ class WeightFunction:
     d2_mean: Callable | None = None
 
 
-def _neg_exp_half(v):
-    """-exp(-v/2) in one fresh array the shape of v: ``exact_mean`` calls it on n x n variances."""
-    out = np.array(v, dtype=float)
-    out *= -0.5
-    np.exp(out, out=out)
-    return np.negative(out, out=out)
-
-
 def weight(kind: str) -> WeightFunction:
     """Built-in weight functions by name."""
     if kind == "constant_one":
@@ -78,7 +70,7 @@ def weight(kind: str) -> WeightFunction:
             func=np.cos,
             d2=lambda x: -np.cos(x),
             m_closed=lambda v: 0.5 * (1.0 + np.exp(-2.0 * v)),
-            d2_mean=_neg_exp_half,
+            d2_mean=lambda v: -np.exp(-0.5 * v),
         )
     raise ValueError(f"unknown weight kind {kind!r}")
 

@@ -8,9 +8,11 @@ Run it by name from the repository root:
 
 The sigma pairs and tolerance are those of the benchmark's ``analytic``
 workload; one axis sum runs to the 4,000,000 cutoff those calls reach, and
-``rho_range`` over one block of 2^16 lags; ``exact_mean`` runs at its
-largest grid, n = 2048, and the kernel property suite at the workload's
-100,000 cases and golden seed.
+``rho_range`` over one block of 2^16 lags; ``exact_mean`` runs at the
+workload's largest grid, n = 2048, and at n = 8192, whose 67 million terms
+are summed in leaves of 2^16 (a whole term array would be 512 MiB, 1 GiB
+for ``cosine``), and the kernel property suite at the workload's 100,000
+cases and golden seed.
 """
 
 import pytest
@@ -35,9 +37,10 @@ def test_rho_range_block(benchmark):
     assert benchmark(rho_range, 0.35, 1, 65537).shape == (65536,)
 
 
+@pytest.mark.parametrize("n", [2048, 8192])
 @pytest.mark.parametrize("kind", ["square", "cosine"])
-def test_exact_mean_n2048(benchmark, kind):
-    mean = benchmark(exact_mean, HurstPair(0.35, 0.35), weight(kind), 2048, (1.0, 1.0))
+def test_exact_mean(benchmark, kind, n):
+    mean = benchmark(exact_mean, HurstPair(0.35, 0.35), weight(kind), n, (1.0, 1.0))
     assert mean != 0.0
 
 

@@ -11,6 +11,7 @@ from sheetqv import fieldsim
 from sheetqv.cli import EXIT_CONFIG, EXIT_OK, EXIT_TEST_FAILURE, main
 from sheetqv.fieldsim import read_field
 from sheetqv.kernel import HurstPair
+from sheetqv.mcverify import MAX_MEAN_N
 from sheetqv.sigma import sigma_series
 
 
@@ -284,6 +285,9 @@ def test_verify_failure_exit_code(capsys):
     ["--which", "kernel-props", "--cases", "0"],
     ["--which", "ks", "--n", "5000"],
     ["--which", "var", "--n-list", "16", "5000"],
+    # above the exact mean's size bound, which its O(n^2) time sets
+    ["--which", "mean", "--n-list", "8", "10000000"],
+    ["--which", "mean", "--n-list", "8", str(MAX_MEAN_N + 1)],
 ])
 def test_verify_rejects_unusable_input(capsys, argv):
     assert _rejected(capsys, "verify", *argv, "--alpha", "0.35", "--beta", "0.35", "--seed", "1")
@@ -328,12 +332,13 @@ HURST = '"alpha": 0.35, "beta": 0.35'
     (["verify", "--which", "stable", *SMALL_MC], '{%s, "lambda_grid": [NaN]}' % HURST),
     (["sample", *H_FLAGS], '{"n": 8, "seed": 1, "method": "fft"}'),
     (["verify", "--which", "stable", *SMALL_MC], '{%s, "z_kind": "nope"}' % HURST),
+    (["verify", "--which", "mean", *H_FLAGS], '{"n_list": [8, %d], "seed": 1}' % (MAX_MEAN_N + 1)),
 ], ids=[
     "malformed-json", "tol-string", "n-float", "n-bool", "seed-string", "n_list-scalar",
     "n_list-float", "n_list-empty", "alpha-list", "beta-string", "alpha-huge-int",
     "points-string", "points-short", "points-outside", "lambda_grid-empty",
     "lambda_grid-charfn-bound", "lambda_grid-string", "lambda_grid-nan", "method-unknown",
-    "z_kind-unknown",
+    "z_kind-unknown", "n_list-above-mean-bound",
 ])
 def test_config_rejects_unusable_values(capsys, tmp_path, command, content):
     cfg = tmp_path / "cfg.json"
@@ -376,7 +381,6 @@ def test_unreachable_sigma_tolerance_exits_after_cutoff_4(capsys, monkeypatch, a
 
 @pytest.mark.parametrize("argv", [
     # each size asks numpy for hundreds of TiB or more, which is refused at once
-    ["--which", "mean", "--n-list", "8", "10000000"],
     ["--which", "ks", "--n", "8", "--M", "1000000000000000"],
     ["--which", "kernel-props", "--cases", "1000000000000000"],
 ])

@@ -1,5 +1,6 @@
 """Verification harness: exact moments, MC machinery, and pass rules."""
 
+import itertools
 import math
 import os
 import sys
@@ -121,6 +122,8 @@ def test_exact_mean_square_closed_form_and_bracket(a, b, n, t):
 def _exact_mean_per_cell(h, f, n, t):
     """exact_mean with E[f''] evaluated cell by cell, as it once was."""
     n1, n2 = math.floor(n * t[0]), math.floor(n * t[1])
+    if n1 == 0 or n2 == 0:
+        return 0.0
     da = _corner_inner_1d(h.alpha, n1, n)
     db = _corner_inner_1d(h.beta, n2, n)
     va = ((np.arange(1, n1 + 1) - 1.0) / n) ** (2.0 * h.alpha)
@@ -130,30 +133,50 @@ def _exact_mean_per_cell(h, f, n, t):
     return float(scale * np.sum(e2 * np.outer(da * da, db * db)))
 
 
-@pytest.mark.parametrize("t", [(1.0, 1.0), (0.5, 1.0)])
+@pytest.mark.parametrize("t", [(1.0, 1.0), (0.5, 1.0), (0.123, 0.999)])
 @pytest.mark.parametrize("kind", ["square", "cosine", "identity", "constant_one", "quadrature"])
 def test_exact_mean_equals_per_cell_oracle(kind, t):
+    # 256, 1024: leaves of whole rows; 257, 300 and partial t: leaves that
+    # start and end inside a row
     if kind == "quadrature":  # no closed form: E[f''] by Gauss-Hermite, cell by cell
         f, sizes = WeightFunction("cos_by_quadrature", func=np.cos, d2=lambda x: -np.cos(x)), (8, 16)
     else:
-        f, sizes = weight(kind), (8, 64, 257)
+        f, sizes = weight(kind), (8, 64, 256, 257, 300, 1024)
     h = HurstPair(0.35, 0.4)
     for n in sizes:
         assert exact_mean(h, f, n, t) == _exact_mean_per_cell(h, f, n, t)
 
 
-@pytest.mark.parametrize("kind, arrays", [("square", 1.25), ("cosine", 2.25)])
-def test_exact_mean_holds_one_grid_array(kind, arrays):
-    # the n x n terms, plus for cosine the variances its E[f''] is formed
-    # from; a product into a fresh array would pass the bound
-    n = 1024
+@pytest.mark.parametrize("count", [
+    1, 7, 8, 9, 127, 128, 129, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5, 2048**2,
+])
+def test_pairwise_sum_equals_np_sum(count):
+    # signed terms from 1e-300 to 1e300, whose sum depends on the order of
+    # the additions; if numpy changes how it sums, this fails
+    rng = np.random.default_rng(count)
+    x = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-300.0, 300.0, count)
+    leaves = []
+
+    def leaf(start, n):
+        leaves.append(n)
+        return np.sum(x[start : start + n])
+
+    assert mcverify._pairwise_sum(leaf, 0, count) == np.sum(x)
+    assert max(leaves) <= mcverify._MEAN_LEAF and sum(leaves) == count
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("kind", ["square", "cosine"])
+def test_exact_mean_holds_leaf_sized_arrays(kind, n):
+    # a few arrays of one leaf, 512 KiB each, at any n; n x n terms are 8 MiB
+    # at n = 1024
     tracemalloc.start()
     try:
         exact_mean(HurstPair(0.35, 0.4), weight(kind), n, (1.0, 1.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < arrays * 8 * n * n
+    assert peak < 2 << 20
 
 
 def test_exact_mean_degenerate_time():
@@ -596,6 +619,127 @@ def test_kernel_property_suite_deterministic():
     a = kernel_property_suite(500, seed=67)
     b = kernel_property_suite(500, seed=67)
     assert [r.estimate for r in a] == [r.estimate for r in b]
+
+
+def _kernel_property_suite_whole(cases, seed):
+    """kernel_property_suite's records with every check formed on whole arrays, as it once was."""
+    from sheetqv.kernel import delta_incr_inner, incr_cov
+    from sheetqv.mcverify import _k_arr, _random_admissible_arrays
+
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 3)))
+    alphas, betas = _random_admissible_arrays(rng, cases)
+    ns = rng.integers(2, 33, cases)
+    ii, jj, kk, ll = (rng.integers(1, ns + 1) for _ in range(4))
+
+    def axis_incr_cov(gamma, n, a, b):
+        return (
+            _k_arr(gamma, a / n, b / n)
+            - _k_arr(gamma, a / n, (b - 1) / n)
+            - _k_arr(gamma, (a - 1) / n, b / n)
+            + _k_arr(gamma, (a - 1) / n, (b - 1) / n)
+        )
+
+    oracle_incr = axis_incr_cov(alphas, ns, ii, kk) * axis_incr_cov(betas, ns, jj, ll)
+    h = HurstPair(alphas, betas)
+    direct_incr = incr_cov(h, ns, ii, jj, kk, ll)
+    worst_incr = float(np.abs(direct_incr - oracle_incr).max())
+
+    def axis_point_incr(gamma, n, p, b):
+        return _k_arr(gamma, p, b / n) - _k_arr(gamma, p, (b - 1) / n)
+
+    oracle_delta = axis_point_incr(alphas, ns, (kk - 1) / ns, ii) * axis_point_incr(
+        betas, ns, (ll - 1) / ns, jj
+    )
+    direct_delta = delta_incr_inner(h, ns, kk, ll, ii, jj)
+    worst_delta = float(np.abs(direct_delta - oracle_delta).max())
+
+    a2, b2 = _random_admissible_arrays(rng, cases)
+    s1, t1 = np.sort(rng.uniform(0.0, 1.0, (2, cases)), axis=0)
+    s2, t2 = np.sort(rng.uniform(0.0, 1.0, (2, cases)), axis=0)
+    l1, l2 = rng.uniform(0.0, 1.0, (2, cases))
+    vals = np.abs(
+        (_k_arr(a2, l1, t1) - _k_arr(a2, l1, s1)) * (_k_arr(b2, l2, t2) - _k_arr(b2, l2, s2))
+    )
+    bounds = np.abs(t1 - s1) ** (2 * a2) * np.abs(t2 - s2) ** (2 * b2)
+    violations = int(np.sum(vals > bounds + 1e-12))
+
+    def record(test, estimate, provenance, passed):
+        params = {"cases": cases, "seed": seed}
+        return mcverify.VerifyReport(test, params, estimate, 0.0, 0.0, provenance, passed).to_dict()
+
+    cov = "signed cov_point expansion"
+    return [
+        record("incr_cov_oracle_equivalence", worst_incr, cov, worst_incr <= 1e-10),
+        record("delta_incr_inner_oracle_equivalence", worst_delta, cov, worst_delta <= 1e-10),
+        record("point_rect_cov_bound", float(violations), "exact kernel formula", violations == 0),
+    ]
+
+
+_B = mcverify._CASE_BLOCK
+
+
+@pytest.mark.parametrize("cases", [1, _B - 1, _B, _B + 1, 2000, 100_000])
+def test_kernel_property_suite_equals_whole_array_checks(cases):
+    reports = kernel_property_suite(cases, seed=101)
+    assert [r.to_dict() for r in reports] == _kernel_property_suite_whole(cases, 101)
+
+
+@pytest.mark.parametrize("cases, block", [(2000, 13), (3 * _B + 5, _B)])
+def test_kernel_check_blocks_equal_whole_array_calls(cases, block):
+    # every value, not only the largest gap, and bit for bit
+    rng = np.random.default_rng(cases)
+    alphas, betas = mcverify._random_admissible_arrays(rng, cases)
+    ns = rng.integers(2, 33, cases)
+    oracle_args = (alphas, betas, ns, *(rng.integers(1, ns + 1) for _ in range(4)))
+    s1, t1 = np.sort(rng.uniform(0.0, 1.0, (2, cases)), axis=0)
+    s2, t2 = np.sort(rng.uniform(0.0, 1.0, (2, cases)), axis=0)
+    bound_args = (*mcverify._random_admissible_arrays(rng, cases), s1, t1, s2, t2,
+                  *rng.uniform(0.0, 1.0, (2, cases)))
+    for check, args in ((mcverify._oracle_pairs, oracle_args), (mcverify._rect_bound_sides, bound_args)):
+        whole = check(*args)
+        parts = [check(*(a[lo : lo + block] for a in args)) for lo in range(0, cases, block)]
+        for k, values in enumerate(whole):
+            assert values.tobytes() == np.concatenate([p[k] for p in parts]).tobytes()
+
+
+def _nan_first(values):
+    values = values.copy()
+    values[0] = np.nan
+    return values
+
+
+def _break_bound_first(sides):
+    vals, bounds = sides
+    return np.where(np.arange(vals.size) == 0, bounds + 1.0, vals), bounds
+
+
+@pytest.mark.parametrize("module, name, fault, failing, estimate", [
+    ("sheetqv.kernel", "incr_cov", _nan_first, 0, math.nan),
+    ("sheetqv.kernel", "delta_incr_inner", _nan_first, 1, math.nan),
+    ("sheetqv.mcverify", "_rect_bound_sides", _break_bound_first, 2, 1.0),
+])
+def test_kernel_property_suite_fails_on_a_fault_in_a_later_block(
+    monkeypatch, module, name, fault, failing, estimate
+):
+    # three blocks; only the middle one has a fault
+    fn, calls = getattr(sys.modules[module], name), itertools.count(1)
+    monkeypatch.setattr(
+        sys.modules[module], name, lambda *args: fault(fn(*args)) if next(calls) == 2 else fn(*args)
+    )
+    reports = kernel_property_suite(2 * _B + 10, seed=101)
+    assert [r.passed for r in reports] == [k != failing for k in range(3)]
+    assert repr(reports[failing].estimate) == repr(estimate)
+
+
+def test_kernel_property_suite_holds_one_checks_cases_and_a_block():
+    # whole-array checks peaked at 19.8 MiB here
+    tracemalloc.start()
+    try:
+        kernel_property_suite(100_000, seed=101)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 << 20
 
 
 # --- Kolmogorov-Smirnov ---------------------------------------------------------------
