@@ -383,6 +383,7 @@ def test_unreachable_sigma_tolerance_exits_after_cutoff_4(capsys, monkeypatch, a
     # each size asks numpy for hundreds of TiB or more, which is refused at once
     ["--which", "ks", "--n", "8", "--M", "1000000000000000"],
     ["--which", "kernel-props", "--cases", "1000000000000000"],
+    ["--which", "var", "--n-list", "8", "16", "--M", "1000000000000000"],
 ])
 def test_verify_refuses_sizes_no_memory_holds(capsys, argv):
     code, recs, err = run(capsys, "verify", *argv, "--alpha", "0.35", "--beta", "0.35", "--seed", "1")
