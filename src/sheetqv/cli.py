@@ -168,17 +168,16 @@ def _weight(cfg: dict, default: str) -> qvmod.WeightFunction:
 
 
 def _one_sample(cfg: dict):
-    """Increments and nodes of replication 0, the sample that sample and qv write."""
+    """Increments of replication 0, the sample that sample and qv write."""
     h = _hurst(cfg)
     _require(cfg, "n", "seed", "out")
     n = _grid_size("--n", cfg["n"])
     stream = fieldsim.replication_rng(_at_least("--seed", cfg["seed"], 0), 0, fieldsim.PURPOSE_SHEET)
-    inc = fieldsim.sample_increments(h, n, stream, method=cfg.get("method", "cholesky"))
-    return inc, fieldsim.field_from_increments(inc)
+    return fieldsim.sample_increments(h, n, stream, method=cfg.get("method", "cholesky"))
 
 
 def cmd_sample(cfg: dict) -> int:
-    _, field = _one_sample(cfg)
+    field = fieldsim.field_from_increments(_one_sample(cfg))
     fmt = cfg.get("format", "csv")
     if fmt == "bin":
         fieldsim.write_field(cfg["out"], field)
@@ -194,20 +193,10 @@ def cmd_sample(cfg: dict) -> int:
 
 def cmd_qv(cfg: dict) -> int:
     f = _weight(cfg, "constant_one")
-    inc, field = _one_sample(cfg)
-    proc = qvmod.qv_process(field, inc, f)
+    proc = qvmod.qv_process(_one_sample(cfg), f)
     qvmod.write_qv_csv(cfg["out"], proc)
     _note(f"wrote statistic partial sums to {cfg['out']}")
     return EXIT_OK
-
-
-def _two_scale(run, n_small: int, n_large: int):
-    """Run a limit check at two grid sizes; slack at n_large is the small-n gap.
-
-    ``run(n, grids)`` makes both records from one pass of draws at the larger size.
-    """
-    r_small, r_large = run(max(n_small, n_large), (n_small, n_large))
-    return r_small, r_large, mcverify._gap(r_large) <= mcverify._gap(r_small)
 
 
 def _at_least(what: str, value, least: int) -> int:
@@ -248,14 +237,11 @@ def cmd_verify(cfg: dict) -> int:
         reports.append(mcverify.mean_decay(h, qvmod.weight("square"), (1.0, 1.0), n_list))
     elif which == "var":
         n_list = [_grid_size("--n-list size", v) for v in cfg.get("n_list", [16, 64])]
+        if len(n_list) > 2:
+            raise ConfigError("--which var takes one or two --n-list sizes")
+        grids = (n_list[0], n_list[-1])
         f = _weight(cfg, "identity")
-        run = lambda n, grids: mcverify.second_moment_limit(h, f, (1.0, 1.0), n, m_reps, seed, grids=grids)
-        r_small, r_large, shrinks = _two_scale(run, n_list[0], n_list[-1])
-        rel_gap = abs(r_large.estimate - r_large.reference) / abs(r_large.reference)
-        r_large.passed = shrinks and rel_gap <= 0.15
-        r_large.extra["relative_gap"] = rel_gap
-        r_large.extra["gap_shrinks"] = shrinks
-        reports += [r_small, r_large]
+        reports += mcverify.second_moment_limit(h, f, (1.0, 1.0), max(grids), m_reps, seed, grids=grids)
     elif which == "ks":
         n = _grid_size("--n", cfg.get("n", 64))
         f = _weight(cfg, "constant_one")
@@ -278,22 +264,14 @@ def cmd_verify(cfg: dict) -> int:
         bound = mcverify.MAX_CHARFN_LAMBDA
         if np.abs(lam).max() > bound:
             raise ConfigError(f"--which charfn needs lambda_grid values in [-{bound:g}, {bound:g}]")
-        run = lambda nn, grids: mcverify.charfn_compare(h, f, points, lam, nn, m_reps, seed, grids=grids)
-        r_small, r_large, shrinks = _two_scale(run, n // 2, n)
-        r_large.passed = bool(r_large.passed and shrinks)
-        r_large.extra["gap_shrinks"] = shrinks
-        reports += [r_small, r_large]
+        reports += mcverify.charfn_compare(h, f, points, lam, n, m_reps, seed, grids=(n // 2, n))
     elif which == "stable":
         n = _grid_size("--n (the check also runs at n // 2)", cfg.get("n", 64), 2)
         f = _weight(cfg, "identity")
         lam = np.asarray(cfg.get("lambda_grid", mcverify.DEFAULT_LAMBDAS), dtype=float)
         z_kind = cfg.get("z_kind", "cos_corner")
-        run = lambda nn, grids: mcverify.stable_convergence_check(
-            h, f, (1.0, 1.0), z_kind, lam, nn, m_reps, seed, grids=grids)
-        r_small, r_large, shrinks = _two_scale(run, n // 2, n)
-        r_large.passed = bool(r_large.passed and shrinks)
-        r_large.extra["gap_shrinks"] = shrinks
-        reports += [r_small, r_large]
+        reports += mcverify.stable_convergence_check(
+            h, f, (1.0, 1.0), z_kind, lam, n, m_reps, seed, grids=(n // 2, n))
     elif which == "kernel-props":
         cases = _at_least("--cases", cfg.get("cases", 100_000), 1)
         reports += mcverify.kernel_property_suite(cases, seed)

@@ -3,10 +3,12 @@
 Every check compares a Monte Carlo estimate (always reported with a standard
 error) against a reference value whose provenance is recorded: an exact
 kernel-sum formula, quadrature, or the limiting-constant series. Limit
-statements have no rate attached, so limit checks are run at two grid sizes
-and must both shrink toward the reference and meet an absolute tolerance at
-the larger one; the recorded small-n gap is the "slack" added to the 4-sigma
-rule. Both grids of a check are sampled in one pass over the same draws.
+statements have no rate attached, so a limit check returns records at two
+grid sizes from one pass over the same draws, judged by ``_records``: the
+larger one must shrink toward the reference and meet the 4-sigma rule with
+the small-n gap as "slack" (the second moment: a relative gap of 0.15).
+``_q_quadform_samples`` samples the reference side of the stable and
+characteristic-function checks.
 """
 
 from __future__ import annotations
@@ -224,7 +226,7 @@ def _chunk_reps(n: int, method: str, coarse: int | None = None) -> int:
     return max(1, _CHUNK_BUDGET // (3 * _rep_bytes(n, method, coarse)))
 
 
-def _node_chunks(h, n, seed, M, work, rep_offset=0, purpose=PURPOSE_SHEET, method="cholesky", coarse=None):
+def _node_chunks(h, n, seed, M, work, rep_offset=0, method="cholesky", coarse=None):
     """Run ``work(inc, nodes, rows)`` over replications rep_offset .. rep_offset+M-1 in chunks.
 
     ``work`` gets a chunk's increments (size, n, n), its nodes (size, n+1, n+1)
@@ -287,7 +289,7 @@ def _node_chunks(h, n, seed, M, work, rep_offset=0, purpose=PURPOSE_SHEET, metho
     with ThreadPoolExecutor(1) as pool:
         for start in range(0, M, size):
             chunk = slice(start, min(start + size, M))
-            z = standard_normals(seed, rep_offset + start, chunk.stop - start, purpose, (m, m))
+            z = standard_normals(seed, rep_offset + start, chunk.stop - start, PURPOSE_SHEET, (m, m))
             while pending and pending[0].done():
                 pending.popleft().result()  # raises what the worker raised
             if len(pending) < 2:
@@ -331,17 +333,7 @@ def _corner_sums(a: np.ndarray, idx) -> np.ndarray:
     return out
 
 
-def _f2_sums(f: WeightFunction, nodes: np.ndarray, idx) -> np.ndarray:
-    """Unscaled conditional variances: sums of f^2(lower-left node) per corner in idx."""
-    return _corner_sums(f.func(nodes[..., :-1, :-1]) ** 2, idx)
-
-
-def _pair_indices(idx: np.ndarray) -> np.ndarray:
-    """Corner (min i, min j) of every ordered pair of points, row-major."""
-    return np.minimum(idx[:, None, :], idx[None, :, :]).reshape(-1, 2)
-
-
-def _grid_pass(h, n, seed, M, grid, rep_offset=0, method="cholesky", coarse=None):
+def _grid_pass(h, n, seed, M, grid, rep_offset=0, coarse=None):
     """Run the work of ``grid(size) -> (outputs, work)`` at n, and at ``coarse`` if given, in one pass.
 
     The draws are made once, at n (see _node_chunks). Returns n's outputs,
@@ -353,7 +345,7 @@ def _grid_pass(h, n, seed, M, grid, rep_offset=0, method="cholesky", coarse=None
     if coarse is not None and coarse != n:
         outs[coarse], coarse_work = grid(coarse)
         pair = (coarse, coarse_work)
-    _node_chunks(h, n, seed, M, work, rep_offset=rep_offset, method=method, coarse=pair)
+    _node_chunks(h, n, seed, M, work, rep_offset=rep_offset, coarse=pair)
     return out if coarse is None else outs
 
 
@@ -366,7 +358,6 @@ def qv_point_samples(
     points,
     rep_offset: int = 0,
     sheet_functional=None,
-    method: str = "cholesky",
     coarse: int | None = None,
 ):
     """Monte Carlo samples of the statistic at the given time points.
@@ -394,20 +385,11 @@ def qv_point_samples(
 
         return (xs, zs), work
 
-    return _grid_pass(h, n, seed, M, grid, rep_offset, method, coarse)
+    return _grid_pass(h, n, seed, M, grid, rep_offset, coarse)
 
 
 # ---------------------------------------------------------------------------
 # two-scale records
-
-
-def _record_sizes(n: int, grids) -> tuple:
-    """The grid sizes a check reports on: ``grids``, whose largest must be n, or just n."""
-    if grids is None:
-        return (n,)
-    if max(grids) != n:
-        raise ValueError(f"n={n} must be the largest of the grid sizes {list(grids)}")
-    return tuple(grids)
 
 
 def _gap(r: VerifyReport) -> float:
@@ -415,17 +397,28 @@ def _gap(r: VerifyReport) -> float:
     return r.extra.get("sup_diff", r.extra.get("gap", 0.0))
 
 
-def _records(record, sizes, slack, grids):
-    """``record(size, slack)`` for each size in order, each after the first judged
-    with the previous record's gap as its slack.
+def _records(record, n, grids):
+    """A limit check's records at each size of ``grids`` in order, or at n alone.
 
-    Returns the list, or without ``grids`` the one record.
+    ``record(size, slack, last)`` makes one record. The first is judged with
+    slack 0, each later one with the previous record's gap as its slack, and
+    ``last`` is true for the final record of two or more. That final record
+    also gets ``gap_shrinks``, whether its gap is at most the previous
+    record's, and passes only if it does. The largest size must be n, the
+    size the draws were made at.
     """
+    sizes = (n,) if grids is None else tuple(grids)
+    if max(sizes) != n:
+        raise ValueError(f"n={n} must be the largest of the grid sizes {list(sizes)}")
     reports = []
-    for g in sizes:
-        reports.append(record(g, slack))
-        slack = _gap(reports[-1])
-    return reports if grids is not None else reports[0]
+    for k, g in enumerate(sizes):
+        slack = _gap(reports[-1]) if reports else 0.0
+        reports.append(record(g, slack, k > 0 and k == len(sizes) - 1))
+    if len(reports) > 1:
+        last = reports[-1]
+        last.extra["gap_shrinks"] = shrinks = _gap(last) <= _gap(reports[-2])
+        last.passed = bool(last.passed and shrinks)
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -439,20 +432,20 @@ def second_moment_limit(
     n: int,
     M: int,
     seed: int,
-    slack: float = 0.0,
     grids=None,
-):
+) -> list[VerifyReport]:
     """MC second moment of X^n_t vs the limiting value from the covariance series.
 
     Reference: sigma^2 * int_0^{t1} int_0^{t2} E[f^2(W(u,v))] du dv with the
     inner expectation by closed form or Gauss-Hermite quadrature.
 
-    With ``grids`` (sizes whose largest is n) it returns one record per size,
-    in order, all from one pass of draws at n; the first is judged with
-    ``slack``, each later one with the previous record's gap.
+    Returns one record per size of ``grids`` (sizes whose largest is n), or
+    one at n, all from one pass of draws at n and judged as _records says. A
+    record passes if its gap is within 4 SE plus its slack; the last of two
+    or more instead carries ``relative_gap`` and passes if that is at most
+    0.15 and the gap shrinks.
     """
-    sizes = _record_sizes(n, grids)
-    samples = qv_point_samples(h, f, n, M, seed, [t], coarse=min(sizes))
+    samples = qv_point_samples(h, f, n, M, seed, [t], coarse=min(grids or (n,)))
     sig2 = sigma_of(h, 1e-10) ** 2
 
     def integrand(u, v):
@@ -461,10 +454,15 @@ def second_moment_limit(
 
     ref = sig2 * gauss_legendre_2d(integrand, t[0], t[1])
 
-    def record(g, slack):
+    def record(g, slack, last):
         sq = samples[g][0][:, 0] ** 2
         est = float(sq.mean())
         se = float(sq.std(ddof=1) / math.sqrt(M))
+        extra = {"gap": abs(est - ref)}
+        passed = extra["gap"] <= 4.0 * se + slack
+        if last:
+            extra["relative_gap"] = extra["gap"] / abs(ref)
+            passed = extra["relative_gap"] <= 0.15
         return VerifyReport(
             test="second_moment_limit",
             params={
@@ -474,48 +472,43 @@ def second_moment_limit(
             se=se,
             reference=ref,
             provenance="series + quadrature",
-            passed=abs(est - ref) <= 4.0 * se + slack,
-            extra={"gap": abs(est - ref)},
+            passed=passed,
+            extra=extra,
         )
 
-    return _records(record, sizes, slack, grids)
+    return _records(record, n, grids)
 
 
 # ---------------------------------------------------------------------------
 # conditional covariance and characteristic functions
 
 
-def build_Q(nodes: np.ndarray, f: WeightFunction, sigma_val: float, points) -> np.ndarray:
-    """Riemann-sum conditional covariance matrices of node arrays (..., n+1, n+1).
+def _q_quadform_samples(h, f, n, M, seed, points, functional=None, coarse=None):
+    """The reference side's sums over the independent replications M .. 2M-1.
 
-    Leading replication axes carry over: the result has shape (..., m, m)
-    for m points.
-    """
-    n = nodes.shape[-1] - 1
-    m = len(points)
-    mat = _f2_sums(f, nodes, _pair_indices(_point_indices(n, points)))
-    mat = mat.reshape(mat.shape[:-1] + (m, m))
-    mat *= sigma_val**2 / (n * n)
-    return mat
-
-
-def _q_quadform_samples(h, f, n, M, seed, rep_offset, points, sigma_val, lambdas, coarse=None):
-    """Per-replication exp(-1/2 lam' Q lam) over independent sheet samples.
-
+    Returns (sums, Z). ``sums`` (M, P^2) holds, for every ordered pair of the
+    P points in row-major order, the unscaled sum of f^2 at the lower-left
+    nodes of the cells below both points, those of the corner (min i, min j);
+    times sigma^2 / n^2 it is the Riemann sum of the conditional covariance
+    Q. Z holds ``functional(nodes)`` of each sheet, or is None without a
+    functional, which runs as ``sheet_functional`` does in qv_point_samples.
     ``coarse`` as in qv_point_samples.
     """
-    lam = np.asarray(lambdas)  # (L, m)
 
-    def grid(_):
-        out = np.empty((M, lam.shape[0]))
+    def grid(g):
+        idx = _point_indices(g, points)
+        idx = np.minimum(idx[:, None, :], idx[None, :, :]).reshape(-1, 2)
+        sums = np.empty((M, len(idx)))
+        zs = np.empty(M) if functional is not None else None
 
         def work(_, nodes, rows):
-            q = build_Q(nodes, f, sigma_val, points)
-            out[rows] = np.exp(-0.5 * np.einsum("la,rab,lb->rl", lam, q, lam))
+            sums[rows] = _corner_sums(f.func(nodes[..., :-1, :-1]) ** 2, idx)
+            if zs is not None:
+                zs[rows] = functional(nodes)
 
-        return out, work
+        return (sums, zs), work
 
-    return _grid_pass(h, n, seed, M, grid, rep_offset, coarse=coarse)
+    return _grid_pass(h, n, seed, M, grid, rep_offset=M, coarse=coarse)
 
 
 def bootstrap_se(values, seed: int, resamples: int = _BOOT_RESAMPLES):
@@ -590,15 +583,14 @@ def charfn_compare(
     n: int,
     M: int,
     seed: int,
-    slack: float = 0.0,
     grids=None,
-):
+) -> list[VerifyReport]:
     """Empirical characteristic function of the statistic vs the closed form.
 
     The reference E[exp(-1/2 lam' Q lam)] is averaged over an independent set
     of sheet samples (replication indices offset by M). Pass rule: for every
     lambda on the grid, |empirical - reference| <= 4 * combined SE + slack.
-    ``grids`` as in second_moment_limit.
+    ``grids`` and the records as in second_moment_limit.
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim == 1:
@@ -606,14 +598,22 @@ def charfn_compare(
     if np.abs(lam).max() > MAX_CHARFN_LAMBDA:
         raise ValueError(f"lambda grid must satisfy |lambda| <= {MAX_CHARFN_LAMBDA:g} per coordinate")
     sigma_val = sigma_of(h, 1e-10)
-    sizes = _record_sizes(n, grids)
+    coarse = min(grids or (n,))
 
-    samples = qv_point_samples(h, f, n, M, seed, points, coarse=min(sizes))
+    samples = qv_point_samples(h, f, n, M, seed, points, coarse=coarse)
     emp = _means_and_ses({g: np.exp(1j * xs @ lam.T) for g, (xs, _) in samples.items()}, seed)
-    ref_samples = _q_quadform_samples(h, f, n, M, seed, M, points, sigma_val, lam, coarse=min(sizes))
-    ref = _means_and_ses(ref_samples, seed + 1)
 
-    def record(g, slack):
+    def quadform(g, sums):
+        # exp(-1/2 lam' Q lam) per replication, in place in one (M, L) array
+        p = len(points)
+        q = np.einsum("la,rab,lb->rl", lam, sums.reshape(M, p, p) * (sigma_val**2 / (g * g)), lam)
+        q *= -0.5
+        return np.exp(q, out=q)
+
+    refs = _q_quadform_samples(h, f, n, M, seed, points, coarse=coarse)
+    ref = _means_and_ses({g: quadform(g, sums) for g, (sums, _) in refs.items()}, seed + 1)
+
+    def record(g, slack, _):
         params = {
             "alpha": h.alpha, "beta": h.beta, "f": f.kind,
             "points": [list(p) for p in points], "n": g, "M": M, "seed": seed,
@@ -623,7 +623,7 @@ def charfn_compare(
             *emp[g], *ref[g], slack,
         )
 
-    return _records(record, sizes, slack, grids)
+    return _records(record, n, grids)
 
 
 def stable_convergence_check(
@@ -635,15 +635,14 @@ def stable_convergence_check(
     n: int,
     M: int,
     seed: int,
-    slack: float = 0.0,
     grids=None,
-):
+) -> list[VerifyReport]:
     """Test E[exp(i lam X^n_t) Z] against the conditional-Gaussian identity.
 
     Z is a bounded functional of the sheet; the right side is
     E[Z exp(-1/2 lam^2 sigma^2 int_{[0,t]} f^2(W))] over independent sheet
-    samples. At lam = 0 both sides estimate E[Z]. ``grids`` as in
-    second_moment_limit.
+    samples. At lam = 0 both sides estimate E[Z]. Pass rule as in
+    charfn_compare; ``grids`` and the records as in second_moment_limit.
     """
     lam = np.asarray(lambdas, dtype=float).ravel()
     sigma_val = sigma_of(h, 1e-10)
@@ -654,31 +653,22 @@ def stable_convergence_check(
         functional = lambda nodes: (nodes[:, nodes.shape[1] // 2, nodes.shape[2] // 2] > 0).astype(float)
     else:
         raise ValueError(f"unknown Z kind {z_kind!r}")
-    sizes = _record_sizes(n, grids)
+    coarse = min(grids or (n,))
 
-    samples = qv_point_samples(h, f, n, M, seed, [t], sheet_functional=functional, coarse=min(sizes))
+    samples = qv_point_samples(h, f, n, M, seed, [t], sheet_functional=functional, coarse=coarse)
     left = _means_and_ses(
         {g: z[:, None] * np.exp(1j * np.outer(xs[:, 0], lam)) for g, (xs, z) in samples.items()}, seed
     )
-
-    def grid(g):
-        idx = _point_indices(g, [t])
-        zr = np.empty(M)
-        vr = np.empty(M)
-
-        def work(_, nodes, rows):
-            zr[rows] = functional(nodes)
-            vr[rows] = _f2_sums(f, nodes, idx)[:, 0] / (g * g)
-
-        return (zr, vr), work
-
-    refs = _grid_pass(h, n, seed, M, grid, rep_offset=M, coarse=min(sizes))
+    refs = _q_quadform_samples(h, f, n, M, seed, [t], functional, coarse)
     right = _means_and_ses(
-        {g: zr[:, None] * np.exp(-0.5 * np.outer(vr, lam**2) * sigma_val**2) for g, (zr, vr) in refs.items()},
+        {
+            g: zr[:, None] * np.exp(-0.5 * np.outer(sums[:, 0] / (g * g), lam**2) * sigma_val**2)
+            for g, (sums, zr) in refs.items()
+        },
         seed + 1,
     )
 
-    def record(g, slack):
+    def record(g, slack, _):
         params = {
             "alpha": h.alpha, "beta": h.beta, "f": f.kind, "t": list(t),
             "Z": z_kind, "n": g, "M": M, "seed": seed,
@@ -688,7 +678,7 @@ def stable_convergence_check(
             *left[g], *right[g], slack,
         )
 
-    return _records(record, sizes, slack, grids)
+    return _records(record, n, grids)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fieldsim import GridField, IncrementField, prefix_nodes, write_csv_rows
+from .fieldsim import IncrementField, prefix_nodes, write_csv_rows
 from .kernel import HurstPair
 from .quadrature import gauss_hermite_mean
 
@@ -101,15 +101,6 @@ class QVProcess:
     weight_kind: str
 
 
-def _check_same_sample(field: GridField, inc: IncrementField) -> None:
-    if field.n != inc.n:
-        raise ValueError(f"grid mismatch: field n={field.n}, increments n={inc.n}")
-    if field.hurst != inc.hurst:
-        raise ValueError("field and increments carry different Hurst pairs")
-    if not np.array_equal(field.values[1:, 1:], prefix_nodes(inc.values)[1:, 1:]):
-        raise ValueError("field is not the prefix sum of the given increments")
-
-
 def summands(h: HurstPair, nodes: np.ndarray, inc: np.ndarray, f: WeightFunction) -> np.ndarray:
     """Per-cell terms f(lower-left node) * (n^{2(alpha+beta)} Delta^2 - 1).
 
@@ -120,10 +111,9 @@ def summands(h: HurstPair, nodes: np.ndarray, inc: np.ndarray, f: WeightFunction
     return f.func(nodes[..., :-1, :-1]) * (scale * inc**2 - 1.0)
 
 
-def qv_process(field: GridField, inc: IncrementField, f: WeightFunction) -> QVProcess:
-    """Compute the statistic's partial sums from one simulated sample."""
-    _check_same_sample(field, inc)
-    s = prefix_nodes(summands(inc.hurst, field.values, inc.values, f)) / inc.n
+def qv_process(inc: IncrementField, f: WeightFunction) -> QVProcess:
+    """Compute the statistic's partial sums from one simulated sample's increments."""
+    s = prefix_nodes(summands(inc.hurst, prefix_nodes(inc.values), inc.values, f)) / inc.n
     return QVProcess(n=inc.n, partial_sums=s, hurst=inc.hurst, weight_kind=f.kind)
 
 

@@ -15,7 +15,6 @@ import pytest
 from sheetqv.fieldsim import (
     PURPOSE_SHEET,
     factor_1d,
-    field_from_increments,
     increment_cov_1d,
     replication_rng,
     sample_increments,
@@ -39,7 +38,7 @@ def test_circulant_factor_n2048(benchmark):
 @pytest.fixture(scope="module")
 def statistic_n1024():
     inc = sample_increments(H, 1024, replication_rng(3, 0, PURPOSE_SHEET))
-    return qv_process(field_from_increments(inc), inc, weight("cosine"))
+    return qv_process(inc, weight("cosine"))
 
 
 def test_write_qv_csv_n1024(benchmark, tmp_path, statistic_n1024):

@@ -247,6 +247,47 @@ def test_verify_var_decreasing_n_list_prints_the_one_grid_records(capsys):
     assert recs == VAR_20_7_RECORDS
 
 
+# Both records of charfn and stable at n = 8 as the two grids' separate passes
+# printed them. Each run fails on a different record: charfn at n = 4 by the
+# 4-SE rule, stable at n = 8 because its gap grows.
+_MC_PARAMS = {"alpha": 0.35, "beta": 0.35, "M": 200, "seed": 1}
+_CHARFN = {"test": "charfn_compare", "reference": 0,
+           "provenance": "closed-form conditional charfn over independent sheet MC"}
+_CHARFN_PARAMS = {**_MC_PARAMS, "f": "cosine", "points": [[0.5, 1], [1, 0.5]]}
+_STABLE = {"test": "stable_convergence", "reference": 0,
+           "provenance": "conditional-Gaussian identity over independent sheet MC"}
+_STABLE_PARAMS = {**_MC_PARAMS, "f": "identity", "t": [1, 1], "Z": "indicator_center"}
+CHARFN_8_RECORDS = [
+    {**_CHARFN, "params": {**_CHARFN_PARAMS, "n": 4},
+     "estimate": 0.2978897062702846, "se": 0.06205417599173368, "pass": False,
+     "extra": {"sup_diff": 0.2978897062702846, "max_excess": 0.05203810233458753}},
+    {**_CHARFN, "params": {**_CHARFN_PARAMS, "n": 8},
+     "estimate": 0.13308681485853704, "se": 0.06776347986793911, "pass": True,
+     "extra": {"sup_diff": 0.13308681485853704, "max_excess": -0.11095116044737026, "gap_shrinks": True}},
+]
+STABLE_8_RECORDS = [
+    {**_STABLE, "params": {**_STABLE_PARAMS, "n": 4},
+     "estimate": 0.07130338764754188, "se": 0.052812345995806496, "pass": True,
+     "extra": {"sup_diff": 0.07130338764754188, "max_excess": -0.1399459963356841}},
+    {**_STABLE, "params": {**_STABLE_PARAMS, "n": 8},
+     "estimate": 0.10131780317789973, "se": 0.04825924375469734, "pass": False,
+     "extra": {"sup_diff": 0.10131780317789973, "max_excess": -0.09171917184088962, "gap_shrinks": False}},
+]
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["--which", "charfn"], CHARFN_8_RECORDS),
+    (["--which", "stable", "--z-kind", "indicator_center"], STABLE_8_RECORDS),
+], ids=["charfn", "stable"])
+def test_verify_two_scale_records_are_pinned(capsys, argv, want):
+    code, recs, err = run(
+        capsys, "verify", *argv, "--alpha", "0.35", "--beta", "0.35", "--n", "8", "--M", "200", "--seed", "1",
+    )
+    assert code == EXIT_TEST_FAILURE
+    assert recs == want
+    assert err.count("[FAIL]") == 1 and err.count("[PASS]") == 1
+
+
 _KS_ARGV = ("verify", "--which", "ks", "--M", "200", "--n", "8", "--seed", "1")
 
 
@@ -288,6 +329,7 @@ def test_verify_failure_exit_code(capsys):
     # above the exact mean's size bound, which its O(n^2) time sets
     ["--which", "mean", "--n-list", "8", "10000000"],
     ["--which", "mean", "--n-list", "8", str(MAX_MEAN_N + 1)],
+    ["--which", "var", "--n-list", "8", "12", "16"],  # two grids at most, so no size goes unchecked
 ])
 def test_verify_rejects_unusable_input(capsys, argv):
     assert _rejected(capsys, "verify", *argv, "--alpha", "0.35", "--beta", "0.35", "--seed", "1")
@@ -320,6 +362,7 @@ HURST = '"alpha": 0.35, "beta": 0.35'
     (["verify", "--which", "mean", *H_FLAGS], '{"n_list": 8, "seed": 1}'),
     (["verify", "--which", "mean", *H_FLAGS], '{"n_list": [8, 16.5], "seed": 1}'),
     (["verify", "--which", "var", *H_FLAGS, "--M", "2"], '{"n_list": [], "seed": 1}'),
+    (["verify", "--which", "var", *H_FLAGS, "--M", "2"], '{"n_list": [8, 12, 16], "seed": 1}'),
     (["sigma"], '{"alpha": [0.3], "beta": 0.4}'),
     (["sigma"], '{"alpha": 0.35, "beta": "0.4"}'),
     (["sigma"], '{"alpha": 1%s, "beta": 0.4}' % ("0" * 400)),
@@ -335,7 +378,7 @@ HURST = '"alpha": 0.35, "beta": 0.35'
     (["verify", "--which", "mean", *H_FLAGS], '{"n_list": [8, %d], "seed": 1}' % (MAX_MEAN_N + 1)),
 ], ids=[
     "malformed-json", "tol-string", "n-float", "n-bool", "seed-string", "n_list-scalar",
-    "n_list-float", "n_list-empty", "alpha-list", "beta-string", "alpha-huge-int",
+    "n_list-float", "n_list-empty", "n_list-three-sizes", "alpha-list", "beta-string", "alpha-huge-int",
     "points-string", "points-short", "points-outside", "lambda_grid-empty",
     "lambda_grid-charfn-bound", "lambda_grid-string", "lambda_grid-nan", "method-unknown",
     "z_kind-unknown", "n_list-above-mean-bound",

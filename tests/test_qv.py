@@ -82,7 +82,7 @@ def test_qv_process_brute_force_small():
     n = 4
     field, inc = make_sample(n=n, seed=3)
     f = weight("cosine")
-    p = qv_process(field, inc, f)
+    p = qv_process(inc, f)
     scale = float(n) ** (2 * (H.alpha + H.beta))
     for bi in range(1, n + 1):
         for bj in range(1, n + 1):
@@ -95,29 +95,15 @@ def test_qv_process_brute_force_small():
 
 
 def test_qv_process_zero_margins():
-    field, inc = make_sample()
-    p = qv_process(field, inc, weight("constant_one"))
+    _, inc = make_sample()
+    p = qv_process(inc, weight("constant_one"))
     assert np.all(p.partial_sums[0, :] == 0.0)
     assert np.all(p.partial_sums[:, 0] == 0.0)
 
 
-def test_qv_process_rejects_mismatched_sample():
-    field, inc = make_sample(seed=4)
-    _, other = make_sample(seed=5)
-    with pytest.raises(ValueError):
-        qv_process(field, other, weight("constant_one"))
-
-
-def test_qv_process_rejects_wrong_grid():
-    field, _ = make_sample(n=8)
-    _, inc16 = make_sample(n=16)
-    with pytest.raises(ValueError):
-        qv_process(field, inc16, weight("constant_one"))
-
-
 def test_eval_qv_floor_indexing():
-    field, inc = make_sample(n=8)
-    p = qv_process(field, inc, weight("identity"))
+    _, inc = make_sample(n=8)
+    p = qv_process(inc, weight("identity"))
     assert eval_qv(p, 0.0, 0.5) == 0.0
     assert eval_qv(p, 1.0, 1.0) == p.partial_sums[8, 8]
     # 0.37*8 = 2.96 -> floor 2; 0.5*8 -> 4
@@ -135,7 +121,7 @@ def test_brownian_constant_weight_mean_variance():
     f = weight("constant_one")
     for r in range(reps):
         inc = sample_increments(hb, n, replication_rng(33, r, PURPOSE_SHEET))
-        p = qv_process(field_from_increments(inc), inc, f)
+        p = qv_process(inc, f)
         vals[r] = p.partial_sums[n, n]
     assert abs(vals.mean()) <= 4.0 * vals.std(ddof=1) / math.sqrt(reps)
     # SE of a sample variance of (roughly) chi-square data
@@ -148,8 +134,8 @@ def test_brownian_constant_weight_mean_variance():
 
 
 def test_write_qv_csv_roundtrip(tmp_path):
-    field, inc = make_sample(n=5, seed=10)
-    p = qv_process(field, inc, weight("square"))
+    _, inc = make_sample(n=5, seed=10)
+    p = qv_process(inc, weight("square"))
     path = tmp_path / "qv.csv"
     write_qv_csv(path, p)
     with open(path, newline="") as fh:
@@ -176,7 +162,7 @@ def _csv_writer_qv_csv(path, p):
 @pytest.mark.parametrize("n", [1, 2, 7, 64])
 @pytest.mark.parametrize("special", [False, True], ids=["sampled", "special-values"])
 def test_write_qv_csv_bytes_equal_csv_writer_rows(tmp_path, n, special):
-    p = qv_process(*make_sample(n=n, seed=4), weight("cosine"))
+    p = qv_process(make_sample(n=n, seed=4)[1], weight("cosine"))
     if special:
         p.partial_sums = np.resize(SPECIAL, p.partial_sums.shape)
     write_qv_csv(tmp_path / "got.csv", p)
