@@ -237,25 +237,14 @@ def cmd_verify(cfg: dict) -> int:
         reports.append(mcverify.mean_decay(h, qvmod.weight("square"), (1.0, 1.0), n_list))
     elif which == "var":
         n_list = [_grid_size("--n-list size", v) for v in cfg.get("n_list", [16, 64])]
-        if len(n_list) > 2:
-            raise ConfigError("--which var takes one or two --n-list sizes")
-        grids = (n_list[0], n_list[-1])
+        if len(n_list) > 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+            raise ConfigError("--which var takes one --n-list size or two strictly increasing ones")
+        coarse = n_list[0] if len(n_list) == 2 else None
         f = _weight(cfg, "identity")
-        reports += mcverify.second_moment_limit(h, f, (1.0, 1.0), max(grids), m_reps, seed, grids=grids)
+        reports += mcverify.second_moment_limit(h, f, (1.0, 1.0), n_list[-1], m_reps, seed, coarse=coarse)
     elif which == "ks":
         n = _grid_size("--n", cfg.get("n", 64))
-        f = _weight(cfg, "constant_one")
-        xs, _ = mcverify.qv_point_samples(h, f, n, m_reps, seed, [(1.0, 1.0)])
-        var = mcverify.exact_qv_variance(h, n)
-        stat, p = mcverify.ks_normality(xs[:, 0], 0.0, np.sqrt(var))
-        reports.append(mcverify.VerifyReport(
-            test="ks_normality",
-            params={"alpha": h.alpha, "beta": h.beta, "f": f.kind, "n": n, "M": m_reps, "seed": seed},
-            estimate=stat, se=0.0, reference=var,
-            provenance="exact kernel-sum finite-n variance",
-            passed=p > 1e-3,
-            extra={"p_value": p},
-        ))
+        reports += mcverify.ks_check(h, _weight(cfg, "constant_one"), n, m_reps, seed)
     elif which == "charfn":
         n = _grid_size("--n (the check also runs at n // 2)", cfg.get("n", 64), 2)
         f = _weight(cfg, "cosine")
@@ -264,14 +253,14 @@ def cmd_verify(cfg: dict) -> int:
         bound = mcverify.MAX_CHARFN_LAMBDA
         if np.abs(lam).max() > bound:
             raise ConfigError(f"--which charfn needs lambda_grid values in [-{bound:g}, {bound:g}]")
-        reports += mcverify.charfn_compare(h, f, points, lam, n, m_reps, seed, grids=(n // 2, n))
+        reports += mcverify.charfn_compare(h, f, points, lam, n, m_reps, seed, coarse=n // 2)
     elif which == "stable":
         n = _grid_size("--n (the check also runs at n // 2)", cfg.get("n", 64), 2)
         f = _weight(cfg, "identity")
         lam = np.asarray(cfg.get("lambda_grid", mcverify.DEFAULT_LAMBDAS), dtype=float)
         z_kind = cfg.get("z_kind", "cos_corner")
         reports += mcverify.stable_convergence_check(
-            h, f, (1.0, 1.0), z_kind, lam, n, m_reps, seed, grids=(n // 2, n))
+            h, f, (1.0, 1.0), z_kind, lam, n, m_reps, seed, coarse=n // 2)
     elif which == "kernel-props":
         cases = _at_least("--cases", cfg.get("cases", 100_000), 1)
         reports += mcverify.kernel_property_suite(cases, seed)

@@ -3,10 +3,11 @@
 Every check compares a Monte Carlo estimate (always reported with a standard
 error) against a reference value whose provenance is recorded: an exact
 kernel-sum formula, quadrature, or the limiting-constant series. Limit
-statements have no rate attached, so a limit check returns records at two
-grid sizes from one pass over the same draws, judged by ``_records``: the
-larger one must shrink toward the reference and meet the 4-sigma rule with
-the small-n gap as "slack" (the second moment: a relative gap of 0.15).
+statements have no rate attached, so a limit check draws at grid size n and
+may also judge a ``coarse`` size 1 <= coarse < n from the same draws. It
+then returns records at coarse and at n, judged by ``_records``: the record
+at n must shrink toward the reference and meet the 4-sigma rule with the
+coarse gap as "slack" (the second moment: a relative gap of 0.15).
 ``_q_quadform_samples`` samples the reference side of the stable and
 characteristic-function checks.
 """
@@ -233,7 +234,7 @@ def _node_chunks(h, n, seed, M, work, rep_offset=0, method="cholesky", coarse=No
     and the slice of 0 .. M-1 they belong to, and writes its results into
     those rows of the caller's preallocated outputs.
 
-    ``coarse=(n_c, work_c)`` with n_c <= n also runs ``work_c`` on the n_c grid
+    ``coarse=(n_c, work_c)`` with n_c < n also runs ``work_c`` on the n_c grid
     of the same replications, in the same chunks. Z is drawn once, at n: the
     draws of the n_c grid are the first m_c^2 normals of each replication's
     stream (m_c the factor width at n_c), which are exactly what a pass at
@@ -336,17 +337,20 @@ def _corner_sums(a: np.ndarray, idx) -> np.ndarray:
 def _grid_pass(h, n, seed, M, grid, rep_offset=0, coarse=None):
     """Run the work of ``grid(size) -> (outputs, work)`` at n, and at ``coarse`` if given, in one pass.
 
-    The draws are made once, at n (see _node_chunks). Returns n's outputs,
-    or with ``coarse`` a dict from each grid size to its outputs.
+    The draws are made once, at n (see _node_chunks), so ``coarse`` must be
+    in 1 .. n-1; any other size raises ValueError before a stream is drawn.
+    Returns a dict from each grid size to its outputs.
     """
+    if coarse is not None and not 1 <= coarse < n:
+        raise ValueError(f"coarse grid size must be in 1 .. {n - 1} for n={n}, got {coarse}")
     out, work = grid(n)
     outs = {n: out}
     pair = None
-    if coarse is not None and coarse != n:
+    if coarse is not None:
         outs[coarse], coarse_work = grid(coarse)
         pair = (coarse, coarse_work)
     _node_chunks(h, n, seed, M, work, rep_offset=rep_offset, coarse=pair)
-    return out if coarse is None else outs
+    return outs
 
 
 def qv_point_samples(
@@ -362,15 +366,13 @@ def qv_point_samples(
 ):
     """Monte Carlo samples of the statistic at the given time points.
 
-    Returns (X, Z) where X has shape (M, m). Z collects per-replication
-    sheet functionals when ``sheet_functional`` (nodes -> (size,) array) is
-    given, else None. ``sheet_functional`` runs one chunk of replications at
-    a time, on the calling thread or on a worker thread, so it must not touch
-    state shared with the caller.
-
-    A ``coarse`` grid size <= n samples the same replications on that grid
-    too, from the same draws, and the result is a dict from each grid size
-    to its (X, Z).
+    Returns a dict from each grid size to its (X, Z): n's, and with a
+    ``coarse`` size 1 <= coarse < n also that grid's, sampled from the same
+    draws. X has shape (M, m). Z collects per-replication sheet functionals
+    when ``sheet_functional`` (nodes -> (size,) array) is given, else None.
+    ``sheet_functional`` runs one chunk of replications at a time, on the
+    calling thread or on a worker thread, so it must not touch state shared
+    with the caller.
     """
 
     def grid(g):
@@ -392,33 +394,23 @@ def qv_point_samples(
 # two-scale records
 
 
-def _gap(r: VerifyReport) -> float:
-    """How far a limit check's estimate is from its reference."""
-    return r.extra.get("sup_diff", r.extra.get("gap", 0.0))
-
-
-def _records(record, n, grids):
-    """A limit check's records at each size of ``grids`` in order, or at n alone.
+def _records(record, n, coarse=None):
+    """A limit check's records: one at n, or at ``coarse`` and then at n.
 
     ``record(size, slack, last)`` makes one record. The first is judged with
-    slack 0, each later one with the previous record's gap as its slack, and
-    ``last`` is true for the final record of two or more. That final record
-    also gets ``gap_shrinks``, whether its gap is at most the previous
-    record's, and passes only if it does. The largest size must be n, the
-    size the draws were made at.
+    slack 0. With ``coarse``, the record at n is judged with the coarse
+    record's gap as its slack and ``last`` true; it also gets
+    ``gap_shrinks``, whether its gap is at most the coarse record's, and
+    passes only if it does.
     """
-    sizes = (n,) if grids is None else tuple(grids)
-    if max(sizes) != n:
-        raise ValueError(f"n={n} must be the largest of the grid sizes {list(sizes)}")
-    reports = []
-    for k, g in enumerate(sizes):
-        slack = _gap(reports[-1]) if reports else 0.0
-        reports.append(record(g, slack, k > 0 and k == len(sizes) - 1))
-    if len(reports) > 1:
-        last = reports[-1]
-        last.extra["gap_shrinks"] = shrinks = _gap(last) <= _gap(reports[-2])
-        last.passed = bool(last.passed and shrinks)
-    return reports
+    first = record(n if coarse is None else coarse, 0.0, False)
+    if coarse is None:
+        return [first]
+    gap = lambda r: r.extra.get("sup_diff", r.extra.get("gap"))  # distance from the reference
+    last = record(n, gap(first), True)
+    last.extra["gap_shrinks"] = shrinks = gap(last) <= gap(first)
+    last.passed = bool(last.passed and shrinks)
+    return [first, last]
 
 
 # ---------------------------------------------------------------------------
@@ -432,20 +424,20 @@ def second_moment_limit(
     n: int,
     M: int,
     seed: int,
-    grids=None,
+    coarse: int | None = None,
 ) -> list[VerifyReport]:
     """MC second moment of X^n_t vs the limiting value from the covariance series.
 
     Reference: sigma^2 * int_0^{t1} int_0^{t2} E[f^2(W(u,v))] du dv with the
     inner expectation by closed form or Gauss-Hermite quadrature.
 
-    Returns one record per size of ``grids`` (sizes whose largest is n), or
-    one at n, all from one pass of draws at n and judged as _records says. A
-    record passes if its gap is within 4 SE plus its slack; the last of two
-    or more instead carries ``relative_gap`` and passes if that is at most
-    0.15 and the gap shrinks.
+    Returns one record at n, or with a ``coarse`` size 1 <= coarse < n the
+    records at coarse and at n, from one pass of draws at n and judged as
+    _records says. A record passes if its gap is within 4 SE plus its slack;
+    the record at n of two instead carries ``relative_gap`` and passes if
+    that is at most 0.15 and the gap shrinks.
     """
-    samples = qv_point_samples(h, f, n, M, seed, [t], coarse=min(grids or (n,)))
+    samples = qv_point_samples(h, f, n, M, seed, [t], coarse=coarse)
     sig2 = sigma_of(h, 1e-10) ** 2
 
     def integrand(u, v):
@@ -476,7 +468,7 @@ def second_moment_limit(
             extra=extra,
         )
 
-    return _records(record, n, grids)
+    return _records(record, n, coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +478,13 @@ def second_moment_limit(
 def _q_quadform_samples(h, f, n, M, seed, points, functional=None, coarse=None):
     """The reference side's sums over the independent replications M .. 2M-1.
 
-    Returns (sums, Z). ``sums`` (M, P^2) holds, for every ordered pair of the
-    P points in row-major order, the unscaled sum of f^2 at the lower-left
-    nodes of the cells below both points, those of the corner (min i, min j);
-    times sigma^2 / n^2 it is the Riemann sum of the conditional covariance
-    Q. Z holds ``functional(nodes)`` of each sheet, or is None without a
+    Returns a dict from each grid size g (n, and ``coarse`` as in
+    qv_point_samples) to its (sums, Z). ``sums`` (M, P^2) holds, for every
+    ordered pair of the P points in row-major order, the unscaled sum of f^2
+    at the lower-left nodes of the cells below both points, those of the
+    corner (min i, min j); times sigma^2 / g^2 it is the Riemann sum of the
+    conditional covariance Q. Z holds ``functional(nodes)`` of each sheet, or is None without a
     functional, which runs as ``sheet_functional`` does in qv_point_samples.
-    ``coarse`` as in qv_point_samples.
     """
 
     def grid(g):
@@ -557,22 +549,32 @@ def lambda_product_grid(m: int, per_coord=DEFAULT_LAMBDAS) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def _sup_diff_report(test, params, provenance, left, left_se, right, right_se, slack) -> VerifyReport:
-    """Pass iff |left - right| <= 4 * combined SE + slack on every lambda; report the sup."""
-    diff = np.abs(left - right)
-    combined = np.sqrt(left_se**2 + right_se**2)
-    excess = diff - 4.0 * combined
-    sup_i = int(np.argmax(diff))
-    return VerifyReport(
-        test=test,
-        params=params,
-        estimate=float(diff[sup_i]),
-        se=float(combined[sup_i]),
-        reference=0.0,
-        provenance=provenance,
-        passed=bool(np.all(excess <= slack)),
-        extra={"sup_diff": float(diff.max()), "max_excess": float(excess.max())},
-    )
+def _sup_diff_records(test, params, provenance, left, right, n, M, seed, coarse) -> list[VerifyReport]:
+    """Records at n, or at ``coarse`` and n, of two sides that should agree, judged as _records says.
+
+    ``left`` and ``right`` map each grid size to its (means, SEs). A record
+    passes iff |left - right| <= 4 * combined SE + slack on every lambda,
+    and reports the sup.
+    """
+
+    def record(g, slack, _):
+        (lm, lse), (rm, rse) = left[g], right[g]
+        diff = np.abs(lm - rm)
+        combined = np.sqrt(lse**2 + rse**2)
+        excess = diff - 4.0 * combined
+        sup_i = int(np.argmax(diff))
+        return VerifyReport(
+            test=test,
+            params={**params, "n": g, "M": M, "seed": seed},
+            estimate=float(diff[sup_i]),
+            se=float(combined[sup_i]),
+            reference=0.0,
+            provenance=provenance,
+            passed=bool(np.all(excess <= slack)),
+            extra={"sup_diff": float(diff.max()), "max_excess": float(excess.max())},
+        )
+
+    return _records(record, n, coarse)
 
 
 def charfn_compare(
@@ -583,14 +585,14 @@ def charfn_compare(
     n: int,
     M: int,
     seed: int,
-    grids=None,
+    coarse: int | None = None,
 ) -> list[VerifyReport]:
     """Empirical characteristic function of the statistic vs the closed form.
 
     The reference E[exp(-1/2 lam' Q lam)] is averaged over an independent set
     of sheet samples (replication indices offset by M). Pass rule: for every
     lambda on the grid, |empirical - reference| <= 4 * combined SE + slack.
-    ``grids`` and the records as in second_moment_limit.
+    ``coarse`` and the records as in second_moment_limit.
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim == 1:
@@ -598,7 +600,6 @@ def charfn_compare(
     if np.abs(lam).max() > MAX_CHARFN_LAMBDA:
         raise ValueError(f"lambda grid must satisfy |lambda| <= {MAX_CHARFN_LAMBDA:g} per coordinate")
     sigma_val = sigma_of(h, 1e-10)
-    coarse = min(grids or (n,))
 
     samples = qv_point_samples(h, f, n, M, seed, points, coarse=coarse)
     emp = _means_and_ses({g: np.exp(1j * xs @ lam.T) for g, (xs, _) in samples.items()}, seed)
@@ -612,18 +613,11 @@ def charfn_compare(
 
     refs = _q_quadform_samples(h, f, n, M, seed, points, coarse=coarse)
     ref = _means_and_ses({g: quadform(g, sums) for g, (sums, _) in refs.items()}, seed + 1)
-
-    def record(g, slack, _):
-        params = {
-            "alpha": h.alpha, "beta": h.beta, "f": f.kind,
-            "points": [list(p) for p in points], "n": g, "M": M, "seed": seed,
-        }
-        return _sup_diff_report(
-            "charfn_compare", params, "closed-form conditional charfn over independent sheet MC",
-            *emp[g], *ref[g], slack,
-        )
-
-    return _records(record, n, grids)
+    params = {"alpha": h.alpha, "beta": h.beta, "f": f.kind, "points": [list(p) for p in points]}
+    return _sup_diff_records(
+        "charfn_compare", params, "closed-form conditional charfn over independent sheet MC",
+        emp, ref, n, M, seed, coarse,
+    )
 
 
 def stable_convergence_check(
@@ -635,14 +629,14 @@ def stable_convergence_check(
     n: int,
     M: int,
     seed: int,
-    grids=None,
+    coarse: int | None = None,
 ) -> list[VerifyReport]:
     """Test E[exp(i lam X^n_t) Z] against the conditional-Gaussian identity.
 
     Z is a bounded functional of the sheet; the right side is
     E[Z exp(-1/2 lam^2 sigma^2 int_{[0,t]} f^2(W))] over independent sheet
     samples. At lam = 0 both sides estimate E[Z]. Pass rule as in
-    charfn_compare; ``grids`` and the records as in second_moment_limit.
+    charfn_compare; ``coarse`` and the records as in second_moment_limit.
     """
     lam = np.asarray(lambdas, dtype=float).ravel()
     sigma_val = sigma_of(h, 1e-10)
@@ -653,7 +647,6 @@ def stable_convergence_check(
         functional = lambda nodes: (nodes[:, nodes.shape[1] // 2, nodes.shape[2] // 2] > 0).astype(float)
     else:
         raise ValueError(f"unknown Z kind {z_kind!r}")
-    coarse = min(grids or (n,))
 
     samples = qv_point_samples(h, f, n, M, seed, [t], sheet_functional=functional, coarse=coarse)
     left = _means_and_ses(
@@ -667,38 +660,15 @@ def stable_convergence_check(
         },
         seed + 1,
     )
-
-    def record(g, slack, _):
-        params = {
-            "alpha": h.alpha, "beta": h.beta, "f": f.kind, "t": list(t),
-            "Z": z_kind, "n": g, "M": M, "seed": seed,
-        }
-        return _sup_diff_report(
-            "stable_convergence", params, "conditional-Gaussian identity over independent sheet MC",
-            *left[g], *right[g], slack,
-        )
-
-    return _records(record, n, grids)
+    params = {"alpha": h.alpha, "beta": h.beta, "f": f.kind, "t": list(t), "Z": z_kind}
+    return _sup_diff_records(
+        "stable_convergence", params, "conditional-Gaussian identity over independent sheet MC",
+        left, right, n, M, seed, coarse,
+    )
 
 
 # ---------------------------------------------------------------------------
 # kernel property suite (randomized oracle equivalence)
-
-
-def incr_cov_oracle(h: HurstPair, n: int, i: int, j: int, k: int, l: int) -> float:
-    """Brute-force 16-term expansion of the increment covariance via cov_point."""
-    from .kernel import cov_point
-
-    total = 0.0
-    for a1 in (0, 1):
-        for b1 in (0, 1):
-            for a2 in (0, 1):
-                for b2 in (0, 1):
-                    sign = (-1) ** ((1 - a1) + (1 - b1) + (1 - a2) + (1 - b2))
-                    p1 = ((i - 1 + a1) / n, (j - 1 + b1) / n)
-                    p2 = ((k - 1 + a2) / n, (l - 1 + b2) / n)
-                    total += sign * cov_point(h, p1, p2)
-    return total
 
 
 def _random_admissible_arrays(rng, size):
@@ -874,3 +844,21 @@ def ks_normality(samples, mean: float, sd: float) -> tuple[float, float]:
     i = np.arange(1, m + 1)
     d = max(np.max(i / m - cdf), np.max(cdf - (i - 1) / m))
     return float(d), kolmogorov_sf(math.sqrt(m) * d)
+
+
+def ks_check(h: HurstPair, f: WeightFunction, n: int, M: int, seed: int) -> list[VerifyReport]:
+    """KS test of the statistic at (1, 1) against N(0, exact finite-n variance for f == 1).
+
+    Passes if the asymptotic p-value exceeds 1e-3; needs M >= 100.
+    """
+    xs, _ = qv_point_samples(h, f, n, M, seed, [(1.0, 1.0)])[n]
+    var = exact_qv_variance(h, n)
+    stat, p = ks_normality(xs[:, 0], 0.0, np.sqrt(var))
+    return [VerifyReport(
+        test="ks_normality",
+        params={"alpha": h.alpha, "beta": h.beta, "f": f.kind, "n": n, "M": M, "seed": seed},
+        estimate=stat, se=0.0, reference=var,
+        provenance="exact kernel-sum finite-n variance",
+        passed=p > 1e-3,
+        extra={"p_value": p},
+    )]

@@ -105,14 +105,14 @@ def test_criterion_03_sampler_exactness(capsys):
 def test_criterion_04_exact_finite_n_moments(capsys):
     n, reps = 32, 10_000
     xs, _ = qv_point_samples(H35, weight("constant_one"), n, reps, seed=107,
-                             points=[(1.0, 1.0)])
+                             points=[(1.0, 1.0)])[n]
     sq = xs[:, 0] ** 2
     var_exact = exact_qv_variance(H35, n)
     var_se = sq.std(ddof=1) / math.sqrt(reps)
     var_ok = abs(sq.mean() - var_exact) <= 4.0 * var_se
 
     ys, _ = qv_point_samples(H35, weight("square"), n, reps, seed=109,
-                             points=[(1.0, 1.0)])
+                             points=[(1.0, 1.0)])[n]
     mean_exact = exact_mean(H35, weight("square"), n, (1.0, 1.0))
     mean_se = ys[:, 0].std(ddof=1) / math.sqrt(reps)
     mean_ok = abs(ys[:, 0].mean() - mean_exact) <= 4.0 * mean_se
@@ -162,7 +162,7 @@ def test_criterion_05_mean_decay_rate(capsys):
 
 def test_criterion_06_second_moment_limit(capsys):
     f = weight("identity")
-    r16, r64 = second_moment_limit(H35, f, (1.0, 1.0), 64, 5000, seed=113, grids=(16, 64))
+    r16, r64 = second_moment_limit(H35, f, (1.0, 1.0), 64, 5000, seed=113, coarse=16)
     rel = abs(r64.estimate - r64.reference) / abs(r64.reference)
     shrinks = r64.extra["gap"] <= r16.extra["gap"]
     ok = shrinks and rel <= 0.15
@@ -178,7 +178,7 @@ def test_criterion_06_second_moment_limit(capsys):
 def test_criterion_07_distributional_clt(capsys):
     n, reps = 64, 5000
     xs, _ = qv_point_samples(H35, weight("constant_one"), n, reps, seed=127,
-                             points=[(1.0, 1.0)])
+                             points=[(1.0, 1.0)])[n]
     sd = math.sqrt(exact_qv_variance(H35, n))
     stat, p = ks_normality(xs[:, 0], 0.0, sd)
     ok = p > 0.001
@@ -192,7 +192,7 @@ def test_criterion_08_characteristic_functions(capsys):
     f = weight("cosine")
     points = [(0.5, 1.0), (1.0, 0.5)]
     lam = lambda_product_grid(2)
-    r32, r64 = charfn_compare(H35, f, points, lam, 64, 5000, seed=131, grids=(32, 64))
+    r32, r64 = charfn_compare(H35, f, points, lam, 64, 5000, seed=131, coarse=32)
     shrinks = r64.extra["sup_diff"] <= r32.extra["sup_diff"]
     rule = r64.extra["max_excess"] <= r32.extra["sup_diff"]  # 4 SE plus the n=32 gap as slack
     ok = rule and shrinks
@@ -209,7 +209,7 @@ def test_criterion_09_stable_convergence(capsys):
     f = weight("identity")
     lam = np.asarray(lambda_product_grid(1)).ravel()
     r32, r64 = stable_convergence_check(H35, f, (1.0, 1.0), "cos_corner", lam, 64, 5000,
-                                        seed=141, grids=(32, 64))
+                                        seed=141, coarse=32)
     shrinks = r64.extra["sup_diff"] <= r32.extra["sup_diff"]
     rule = r64.extra["max_excess"] <= r32.extra["sup_diff"]  # 4 SE plus the n=32 gap as slack
     ok = rule and shrinks

@@ -223,28 +223,38 @@ def test_verify_ks_small(capsys):
     assert recs[0]["extra"]["p_value"] > 1e-3
 
 
-# Both records of a decreasing --n-list as the two grids' separate passes
-# printed them: the n = 20 record first, the n = 7 record judged with its gap.
+# The records of --n-list 7 20 as the two grids' separate passes printed
+# them, the n = 20 record judged with the n = 7 gap; one size gives one
+# record, judged by the 4-SE rule alone and with no gap_shrinks.
 _VAR_PARAMS = {"alpha": 0.35, "beta": 0.35, "f": "identity", "t": [1, 1], "M": 200, "seed": 1}
 _VAR_REF = {"reference": 0.8040265166757653, "provenance": "series + quadrature"}
-VAR_20_7_RECORDS = [
-    {"test": "second_moment_limit", "params": {**_VAR_PARAMS, "n": 20},
-     "estimate": 0.8798624010296411, "se": 0.1391961775621506, **_VAR_REF,
-     "pass": True, "extra": {"gap": 0.07583588435387578}},
+VAR_7_20_RECORDS = [
     {"test": "second_moment_limit", "params": {**_VAR_PARAMS, "n": 7},
      "estimate": 0.660372543560465, "se": 0.1065855036986599, **_VAR_REF,
-     "pass": False, "extra": {"gap": 0.14365397311530026, "relative_gap": 0.17866820326925945,
-                              "gap_shrinks": False}},
+     "pass": True, "extra": {"gap": 0.14365397311530026}},
+    {"test": "second_moment_limit", "params": {**_VAR_PARAMS, "n": 20},
+     "estimate": 0.8798624010296411, "se": 0.1391961775621506, **_VAR_REF,
+     "pass": True, "extra": {"gap": 0.07583588435387578, "relative_gap": 0.09432012847961535,
+                             "gap_shrinks": True}},
+]
+VAR_12_RECORDS = [
+    {"test": "second_moment_limit", "params": {**_VAR_PARAMS, "n": 12},
+     "estimate": 0.6282483602651893, "se": 0.06234134514056678, **_VAR_REF,
+     "pass": True, "extra": {"gap": 0.17577815641057604}},
 ]
 
 
-def test_verify_var_decreasing_n_list_prints_the_one_grid_records(capsys):
+@pytest.mark.parametrize("n_list,want", [
+    (["7", "20"], VAR_7_20_RECORDS),
+    (["12"], VAR_12_RECORDS),
+], ids=["7-20", "12"])
+def test_verify_var_records_are_pinned(capsys, n_list, want):
     code, recs, _ = run(
         capsys, "verify", "--which", "var", "--alpha", "0.35", "--beta", "0.35",
-        "--seed", "1", "--M", "200", "--n-list", "20", "7",
+        "--seed", "1", "--M", "200", "--n-list", *n_list,
     )
-    assert code == EXIT_TEST_FAILURE
-    assert recs == VAR_20_7_RECORDS
+    assert code == EXIT_OK
+    assert recs == want
 
 
 # Both records of charfn and stable at n = 8 as the two grids' separate passes
@@ -330,6 +340,8 @@ def test_verify_failure_exit_code(capsys):
     ["--which", "mean", "--n-list", "8", "10000000"],
     ["--which", "mean", "--n-list", "8", str(MAX_MEAN_N + 1)],
     ["--which", "var", "--n-list", "8", "12", "16"],  # two grids at most, so no size goes unchecked
+    ["--which", "var", "--n-list", "20", "7"],  # the draws are made at the larger size, which is judged last
+    ["--which", "var", "--n-list", "12", "12"],  # a grid is not judged against itself
 ])
 def test_verify_rejects_unusable_input(capsys, argv):
     assert _rejected(capsys, "verify", *argv, "--alpha", "0.35", "--beta", "0.35", "--seed", "1")
@@ -376,12 +388,14 @@ HURST = '"alpha": 0.35, "beta": 0.35'
     (["sample", *H_FLAGS], '{"n": 8, "seed": 1, "method": "fft"}'),
     (["verify", "--which", "stable", *SMALL_MC], '{%s, "z_kind": "nope"}' % HURST),
     (["verify", "--which", "mean", *H_FLAGS], '{"n_list": [8, %d], "seed": 1}' % (MAX_MEAN_N + 1)),
+    (["verify", "--which", "var", *H_FLAGS, "--M", "2"], '{"n_list": [20, 7], "seed": 1}'),
+    (["verify", "--which", "var", *H_FLAGS, "--M", "2"], '{"n_list": [12, 12], "seed": 1}'),
 ], ids=[
     "malformed-json", "tol-string", "n-float", "n-bool", "seed-string", "n_list-scalar",
     "n_list-float", "n_list-empty", "n_list-three-sizes", "alpha-list", "beta-string", "alpha-huge-int",
     "points-string", "points-short", "points-outside", "lambda_grid-empty",
     "lambda_grid-charfn-bound", "lambda_grid-string", "lambda_grid-nan", "method-unknown",
-    "z_kind-unknown", "n_list-above-mean-bound",
+    "z_kind-unknown", "n_list-above-mean-bound", "n_list-decreasing", "n_list-equal-sizes",
 ])
 def test_config_rejects_unusable_values(capsys, tmp_path, command, content):
     cfg = tmp_path / "cfg.json"

@@ -87,8 +87,9 @@ CONFIGS = st.one_of(st.none(), st.fixed_dictionaries({}, optional={k: _value(v) 
 # one run of each verify suite, however the generated examples fall
 @example(argv=["verify", "--which", "mean", *_VALID, "--n-list", "2", "4", "8"], config=None)
 @example(argv=["verify", "--which", "var", *_VALID, "--n-list", "4", "8"], config=None)
-# a decreasing list: the sorted generator never draws one
+# a decreasing list and equal sizes: the sorted, unique generator never draws them
 @example(argv=["verify", "--which", "var", *_VALID, "--n-list", "8", "4"], config=None)
+@example(argv=["verify", "--which", "var", *_VALID, "--n-list", "8", "8"], config=None)
 @example(argv=["verify", "--which", "ks", *_VALID, "--n", "8"], config=None)
 @example(argv=["verify", "--which", "charfn", *_VALID, "--n", "8"], config={"points": [[1.0, 1.0]]})
 @example(argv=["verify", "--which", "stable", *_VALID, "--n", "8", "--z-kind", "indicator_center"], config=None)

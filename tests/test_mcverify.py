@@ -31,7 +31,6 @@ from sheetqv.mcverify import (
     charfn_compare,
     exact_mean,
     exact_qv_variance,
-    incr_cov_oracle,
     kernel_property_suite,
     kolmogorov_sf,
     ks_normality,
@@ -185,7 +184,7 @@ def test_exact_mean_degenerate_time():
 def test_exact_mean_monte_carlo_agreement():
     # MC check of the closed-form mean at n=8, f = square
     f = weight("square")
-    xs, _ = qv_point_samples(H, f, 8, 60_000, seed=41, points=[(1.0, 1.0)])
+    xs, _ = qv_point_samples(H, f, 8, 60_000, seed=41, points=[(1.0, 1.0)])[8]
     est = xs[:, 0].mean()
     se = xs[:, 0].std(ddof=1) / math.sqrt(xs.shape[0])
     assert abs(est - MEAN_SQUARE_035_035[8]) <= 4.0 * se
@@ -193,7 +192,7 @@ def test_exact_mean_monte_carlo_agreement():
 
 def test_exact_qv_variance_monte_carlo_agreement():
     f = weight("constant_one")
-    xs, _ = qv_point_samples(HurstPair(0.35, 0.4), f, 8, 20_000, seed=43, points=[(1.0, 1.0)])
+    xs, _ = qv_point_samples(HurstPair(0.35, 0.4), f, 8, 20_000, seed=43, points=[(1.0, 1.0)])[8]
     sq = xs[:, 0] ** 2
     se = sq.std(ddof=1) / math.sqrt(len(sq))
     assert abs(sq.mean() - VAR_F1_035_040_N8) <= 4.0 * se
@@ -226,7 +225,7 @@ def test_mean_decay_validates_grid_list():
 def test_qv_point_samples_match_qv_process():
     f = weight("cosine")
     n, seed = 8, 47
-    xs, _ = qv_point_samples(H, f, n, 3, seed, points=[(1.0, 1.0), (0.5, 0.75)])
+    xs, _ = qv_point_samples(H, f, n, 3, seed, points=[(1.0, 1.0), (0.5, 0.75)])[n]
     for r in range(3):
         inc = sample_increments(H, n, replication_rng(seed, r, PURPOSE_SHEET))
         p = qv_process(inc, f)
@@ -242,7 +241,7 @@ def test_point_samples_equal_qv_process_across_chunks():
     size = _chunk_reps(n, "cholesky")
     M = size + 44
     points = [(0.0, 0.4), (1.0, 1.0), (0.5, 0.75), (0.3, 1.0)]
-    xs, _ = qv_point_samples(H, f, n, M, seed, points, rep_offset=offset)
+    xs, _ = qv_point_samples(H, f, n, M, seed, points, rep_offset=offset)[n]
     for r in (0, size - 1, size, M - 1):
         inc = sample_increments(H, n, replication_rng(seed, offset + r, PURPOSE_SHEET))
         p = qv_process(inc, f)
@@ -268,10 +267,10 @@ def _schedule_outputs(n, M, seed):
     f = weight("cosine")
     points = [(1.0, 1.0), (0.5, 0.75)]
     corner = lambda nodes: nodes[:, -1, -1]
-    xs, zs = qv_point_samples(H, f, n, M, seed, points, sheet_functional=corner)
-    sums, zr = _q_quadform_samples(H, f, n, M, seed, points, functional=corner)
+    xs, zs = qv_point_samples(H, f, n, M, seed, points, sheet_functional=corner)[n]
+    sums, zr = _q_quadform_samples(H, f, n, M, seed, points, functional=corner)[n]
     stable = stable_convergence_check(
-        H, weight("identity"), (1.0, 1.0), "cos_corner", [0.0, 1.0], n, M, seed, grids=(n // 2, n))
+        H, weight("identity"), (1.0, 1.0), "cos_corner", [0.0, 1.0], n, M, seed, coarse=n // 2)
     return xs, zs, sums, zr, [r.to_dict() for r in stable]
 
 
@@ -293,12 +292,12 @@ def test_one_replication_per_chunk_keeps_replication_order(monkeypatch):
     # come back in order
     n, M, seed = 4, 40, 5
     f = weight("cosine")
-    want, _ = qv_point_samples(H, f, n, M, seed, [(1.0, 1.0)])
+    want, _ = qv_point_samples(H, f, n, M, seed, [(1.0, 1.0)])[n]
     _set_chunk_reps(monkeypatch, n, 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got, _ = qv_point_samples(H, f, n, M, seed, [(1.0, 1.0)])
+        got, _ = qv_point_samples(H, f, n, M, seed, [(1.0, 1.0)])[n]
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(got, want)
@@ -386,19 +385,19 @@ def test_zero_replications_give_empty_samples(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     f = weight("cosine")
     points = [(1.0, 1.0), (0.5, 0.75)]
-    xs, zs = qv_point_samples(H, f, 6, 0, 3, points, sheet_functional=lambda nodes: nodes[:, -1, -1])
+    xs, zs = qv_point_samples(H, f, 6, 0, 3, points, sheet_functional=lambda nodes: nodes[:, -1, -1])[6]
     assert xs.shape == (0, 2) and zs.shape == (0,)
-    sums, zr = _q_quadform_samples(H, f, 6, 0, 3, points, functional=lambda nodes: nodes[:, -1, -1])
+    sums, zr = _q_quadform_samples(H, f, 6, 0, 3, points, functional=lambda nodes: nodes[:, -1, -1])[6]
     assert sums.shape == (0, 4) and zr.shape == (0,)
-    xs, zs = qv_point_samples(H, f, 6, 3, 3, points)
+    xs, zs = qv_point_samples(H, f, 6, 3, 3, points)[6]
     assert xs.shape == (3, 2) and zs is None
 
 
 def test_qv_point_samples_rep_offset_disjoint():
     f = weight("constant_one")
-    a, _ = qv_point_samples(H, f, 4, 4, 5, points=[(1.0, 1.0)])
-    b, _ = qv_point_samples(H, f, 4, 4, 5, points=[(1.0, 1.0)], rep_offset=4)
-    c, _ = qv_point_samples(H, f, 4, 8, 5, points=[(1.0, 1.0)])
+    a, _ = qv_point_samples(H, f, 4, 4, 5, points=[(1.0, 1.0)])[4]
+    b, _ = qv_point_samples(H, f, 4, 4, 5, points=[(1.0, 1.0)], rep_offset=4)[4]
+    c, _ = qv_point_samples(H, f, 4, 8, 5, points=[(1.0, 1.0)])[4]
     assert np.array_equal(np.concatenate([a, b]), c)  # offset = continuation
     assert not np.array_equal(a, b)
 
@@ -409,7 +408,7 @@ def test_qv_point_samples_sheet_functional():
     _, z = qv_point_samples(
         H, f, n, 3, 51, points=[(1.0, 1.0)],
         sheet_functional=lambda nodes: nodes[:, -1, -1],
-    )
+    )[n]
     for r in range(3):
         inc = sample_increments(H, n, replication_rng(51, r, PURPOSE_SHEET))
         field = field_from_increments(inc)
@@ -513,7 +512,7 @@ def test_build_q_constant_weight_closed_form():
     # f == 1: the reference sums scaled by sigma^2 / n^2 are
     # Q[a,b] = sigma^2 * (s_a ^ s_b) (t_a ^ t_b) up to grid flooring, in every replication
     points = [(0.5, 1.0), (1.0, 0.5)]
-    sums, _ = _q_quadform_samples(H, weight("constant_one"), 8, 3, 57, points)
+    sums, _ = _q_quadform_samples(H, weight("constant_one"), 8, 3, 57, points)[8]
     q = sums.reshape(3, 2, 2) * (1.5**2 / (8 * 8))
     want = 1.5**2 * np.array([[0.5, 0.25], [0.25, 0.5]])
     assert np.allclose(q, want, rtol=1e-12)
@@ -540,10 +539,10 @@ def _one_grid_records(check, sizes):
     return [first.to_dict(), second.to_dict()]
 
 
-@pytest.mark.parametrize("sizes", [(1, 2), (4, 8), (7, 15), (20, 7)])
+@pytest.mark.parametrize("sizes", [(1, 2), (4, 8), (7, 15)])
 def test_two_scale_records_equal_the_one_grid_runs(monkeypatch, sizes):
     monkeypatch.setattr(mcverify, "sigma_of", lambda h, tol: 0.7)  # the series is not under test
-    M, seed, n = 300, 23, max(sizes)
+    M, seed, n = 300, 23, sizes[1]
     lam = lambda_product_grid(2, (-1.0, 0.5))
     points = [(0.5, 1.0), (1.0, 0.5)]
     checks = [
@@ -555,13 +554,18 @@ def test_two_scale_records_equal_the_one_grid_runs(monkeypatch, sizes):
         for z in ("cos_corner", "indicator_center")
     ]
     for check in checks:
-        shared = [r.to_dict() for r in check(n, grids=sizes)]
+        shared = [r.to_dict() for r in check(n, coarse=sizes[0])]
         assert shared == _one_grid_records(check, sizes)
 
 
-def test_two_scale_check_draws_at_the_largest_grid():
-    with pytest.raises(ValueError, match="largest"):
-        second_moment_limit(H, weight("identity"), (1.0, 1.0), 8, 10, 1, grids=(4, 6))
+def test_coarse_grid_outside_1_to_n_minus_1_is_refused_before_any_draw(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a stream was drawn")
+
+    monkeypatch.setattr(mcverify, "standard_normals", no_draws)
+    for coarse in (8, 9, 0, -1):
+        with pytest.raises(ValueError, match="coarse grid size"):
+            second_moment_limit(H, weight("identity"), (1.0, 1.0), 8, 10, 1, coarse=coarse)
 
 
 def test_charfn_compare_small_run_passes():
@@ -601,6 +605,22 @@ def test_stable_convergence_unknown_functional():
 
 
 # --- kernel property suite -----------------------------------------------------------
+
+
+def incr_cov_oracle(h: HurstPair, n: int, i: int, j: int, k: int, l: int) -> float:
+    """Brute-force 16-term expansion of the increment covariance via cov_point."""
+    from sheetqv.kernel import cov_point
+
+    total = 0.0
+    for a1 in (0, 1):
+        for b1 in (0, 1):
+            for a2 in (0, 1):
+                for b2 in (0, 1):
+                    sign = (-1) ** ((1 - a1) + (1 - b1) + (1 - a2) + (1 - b2))
+                    p1 = ((i - 1 + a1) / n, (j - 1 + b1) / n)
+                    p2 = ((k - 1 + a2) / n, (l - 1 + b2) / n)
+                    total += sign * cov_point(h, p1, p2)
+    return total
 
 
 def test_incr_cov_oracle_signs():

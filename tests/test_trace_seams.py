@@ -1,4 +1,4 @@
-"""The two-scale limit checks run under the benchmark's tracer as they run without it.
+"""The Monte Carlo checks run under the benchmark's tracer as they run without it.
 
 ``perfbench.layers`` wraps sheetqv functions and binds some of their
 parameters by name. A traced run must print the same bytes, count the
@@ -34,9 +34,11 @@ def _stdout(argv):
 
 @pytest.mark.parametrize("argv,streams,reference", [
     (("verify", "--which", "var", *H, "--n-list", "4", "8"), M, False),
+    (("verify", "--which", "var", *H, "--n-list", "8"), M, False),
     (("verify", "--which", "charfn", *H, "--n", "8"), 2 * M, True),
     (("verify", "--which", "stable", *H, "--n", "6", "--z-kind", "indicator_center"), 2 * M, True),
-], ids=["var", "charfn", "stable"])
+    (("verify", "--which", "ks", *H, "--M", "100", "--n", "8"), 100, False),  # ks needs M >= 100
+], ids=["var", "var-one-size", "charfn", "stable", "ks"])
 def test_traced_check_prints_the_untraced_bytes(argv, streams, reference):
     want = _stdout(argv)
     before = [dict(vars(m)) for m in MODULES]
