@@ -218,6 +218,10 @@ def _grid_size(
 
 def cmd_verify(cfg: dict) -> int:
     which = cfg.get("which")
+    # ks compares with the variance of f == 1, and mean's rules are written for f = square
+    own = {"ks": "constant_one", "mean": "square"}.get(which)
+    if own is not None and cfg.get("weight", own) != own:
+        raise ConfigError(f"--which {which} judges the weight {own} only, got {cfg['weight']!r}")
     h = _hurst(cfg)
     _require(cfg, "seed")
     seed = _at_least("--seed", cfg["seed"], 0)
@@ -244,7 +248,7 @@ def cmd_verify(cfg: dict) -> int:
         reports += mcverify.second_moment_limit(h, f, (1.0, 1.0), n_list[-1], m_reps, seed, coarse=coarse)
     elif which == "ks":
         n = _grid_size("--n", cfg.get("n", 64))
-        reports += mcverify.ks_check(h, _weight(cfg, "constant_one"), n, m_reps, seed)
+        reports += mcverify.ks_check(h, n, m_reps, seed)
     elif which == "charfn":
         n = _grid_size("--n (the check also runs at n // 2)", cfg.get("n", 64), 2)
         f = _weight(cfg, "cosine")

@@ -23,7 +23,7 @@ import numpy as np
 from .fieldsim import PURPOSE_SHEET, factor_1d, prefix_nodes, standard_normals
 from .fieldsim import replication_rng  # noqa: F401  (perfbench.layers patches this name)
 from .kernel import HurstPair, rho
-from .qv import WeightFunction, d2_mean_at, moment_m, summands
+from .qv import WeightFunction, summands, weight
 from .quadrature import gauss_legendre_2d
 from .sigma import sigma as sigma_of
 
@@ -126,7 +126,7 @@ def _pairwise_sum(leaf, start: int, count: int):
 
 
 def exact_mean(h: HurstPair, f: WeightFunction, n: int, t: tuple[float, float]) -> float:
-    """Exact (quadrature-accurate) finite-n mean of the statistic at t.
+    """Exact finite-n mean of the statistic at t, from the closed form f.d2_mean.
 
     E[X^n_t] = n^{2(a+b)-1} sum_{k,l} E[f''(W at lower-left node)] * inner^2,
     where inner is the corner-rectangle/cell inner product; it factorizes
@@ -142,10 +142,6 @@ def exact_mean(h: HurstPair, f: WeightFunction, n: int, t: tuple[float, float]) 
         return 0.0
     va = ((np.arange(1, n1 + 1) - 1.0) / n) ** (2.0 * h.alpha)
     vb = ((np.arange(1, n2 + 1) - 1.0) / n) ** (2.0 * h.beta)
-    if f.d2_mean is not None:  # closed forms take arrays; constants broadcast
-        e2 = f.d2_mean
-    else:
-        e2 = np.vectorize(lambda vv: d2_mean_at(f, vv))
     da = _corner_inner_1d(h.alpha, n1, n)
     db = _corner_inner_1d(h.beta, n2, n)
     da2, db2 = da * da, db * db
@@ -153,7 +149,7 @@ def exact_mean(h: HurstPair, f: WeightFunction, n: int, t: tuple[float, float]) 
     def leaf(start, count):
         r0, c0 = divmod(start, n2)
         rows = slice(r0, -(-(start + count) // n2))
-        terms = e2(np.outer(va[rows], vb)) * np.outer(da2[rows], db2)
+        terms = f.d2_mean(np.outer(va[rows], vb)) * np.outer(da2[rows], db2)  # a constant broadcasts
         return np.sum(terms.ravel()[c0 : c0 + count])
 
     scale = float(n) ** (2.0 * (h.alpha + h.beta) - 1.0)
@@ -360,7 +356,6 @@ def qv_point_samples(
     M: int,
     seed: int,
     points,
-    rep_offset: int = 0,
     sheet_functional=None,
     coarse: int | None = None,
 ):
@@ -387,7 +382,7 @@ def qv_point_samples(
 
         return (xs, zs), work
 
-    return _grid_pass(h, n, seed, M, grid, rep_offset, coarse)
+    return _grid_pass(h, n, seed, M, grid, coarse=coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +423,8 @@ def second_moment_limit(
 ) -> list[VerifyReport]:
     """MC second moment of X^n_t vs the limiting value from the covariance series.
 
-    Reference: sigma^2 * int_0^{t1} int_0^{t2} E[f^2(W(u,v))] du dv with the
-    inner expectation by closed form or Gauss-Hermite quadrature.
+    Reference: sigma^2 * int_0^{t1} int_0^{t2} E[f^2(W(u,v))] du dv, the inner
+    expectation by the closed form f.m_closed, the integral by Gauss-Legendre.
 
     Returns one record at n, or with a ``coarse`` size 1 <= coarse < n the
     records at coarse and at n, from one pass of draws at n and judged as
@@ -442,7 +437,7 @@ def second_moment_limit(
 
     def integrand(u, v):
         var = u ** (2.0 * h.alpha) * v ** (2.0 * h.beta)
-        return np.vectorize(lambda vv: moment_m(f, vv))(var)
+        return np.vectorize(lambda vv: float(f.m_closed(vv)))(var)
 
     ref = sig2 * gauss_legendre_2d(integrand, t[0], t[1])
 
@@ -846,17 +841,18 @@ def ks_normality(samples, mean: float, sd: float) -> tuple[float, float]:
     return float(d), kolmogorov_sf(math.sqrt(m) * d)
 
 
-def ks_check(h: HurstPair, f: WeightFunction, n: int, M: int, seed: int) -> list[VerifyReport]:
-    """KS test of the statistic at (1, 1) against N(0, exact finite-n variance for f == 1).
+def ks_check(h: HurstPair, n: int, M: int, seed: int) -> list[VerifyReport]:
+    """KS test of the f == 1 statistic at (1, 1) against N(0, its exact finite-n variance).
 
-    Passes if the asymptotic p-value exceeds 1e-3; needs M >= 100.
+    f == 1 is the only weight whose variance exact_qv_variance gives, so the
+    check takes no weight. Passes if the asymptotic p-value exceeds 1e-3; needs M >= 100.
     """
-    xs, _ = qv_point_samples(h, f, n, M, seed, [(1.0, 1.0)])[n]
+    xs, _ = qv_point_samples(h, weight("constant_one"), n, M, seed, [(1.0, 1.0)])[n]
     var = exact_qv_variance(h, n)
     stat, p = ks_normality(xs[:, 0], 0.0, np.sqrt(var))
     return [VerifyReport(
         test="ks_normality",
-        params={"alpha": h.alpha, "beta": h.beta, "f": f.kind, "n": n, "M": M, "seed": seed},
+        params={"alpha": h.alpha, "beta": h.beta, "f": "constant_one", "n": n, "M": M, "seed": seed},
         estimate=stat, se=0.0, reference=var,
         provenance="exact kernel-sum finite-n variance",
         passed=p > 1e-3,

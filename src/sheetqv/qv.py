@@ -18,24 +18,21 @@ import numpy as np
 
 from .fieldsim import IncrementField, prefix_nodes, write_csv_rows
 from .kernel import HurstPair
-from .quadrature import gauss_hermite_mean
+from .quadrature import gauss_hermite_mean  # noqa: F401  (perfbench.layers patches this name)
 
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """A weight f with the derivative and moment metadata the harness needs.
+    """A weight f with the two moments the harness needs, both in closed form.
 
-    ``m_closed`` is v -> E[f^2(N(0, v))] and ``d2_mean`` is
-    v -> E[f''(N(0, v))], both optional closed forms; when absent they are
-    computed by Gauss-Hermite quadrature from ``func`` / ``d2``. ``d2_mean``
-    must also accept an array of variances (a scalar result is broadcast).
+    ``m_closed`` is v -> E[f^2(N(0, v))] and ``d2_mean`` is v -> E[f''(N(0, v))];
+    ``d2_mean`` must also accept an array of variances (a scalar result is broadcast).
     """
 
     kind: str
     func: Callable
-    d2: Callable | None = None
-    m_closed: Callable | None = None
-    d2_mean: Callable | None = None
+    m_closed: Callable
+    d2_mean: Callable
 
 
 def weight(kind: str) -> WeightFunction:
@@ -44,7 +41,6 @@ def weight(kind: str) -> WeightFunction:
         return WeightFunction(
             kind,
             func=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             m_closed=lambda v: 1.0,
             d2_mean=lambda v: 0.0,
         )
@@ -52,7 +48,6 @@ def weight(kind: str) -> WeightFunction:
         return WeightFunction(
             kind,
             func=lambda x: np.asarray(x, dtype=float),
-            d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             m_closed=lambda v: v,
             d2_mean=lambda v: 0.0,
         )
@@ -60,7 +55,6 @@ def weight(kind: str) -> WeightFunction:
         return WeightFunction(
             kind,
             func=lambda x: np.asarray(x, dtype=float) ** 2,
-            d2=lambda x: 2.0 * np.ones_like(np.asarray(x, dtype=float)),
             m_closed=lambda v: 3.0 * v * v,  # E[X^4] for X ~ N(0,v)
             d2_mean=lambda v: 2.0,
         )
@@ -68,27 +62,10 @@ def weight(kind: str) -> WeightFunction:
         return WeightFunction(
             kind,
             func=np.cos,
-            d2=lambda x: -np.cos(x),
             m_closed=lambda v: 0.5 * (1.0 + np.exp(-2.0 * v)),
             d2_mean=lambda v: -np.exp(-0.5 * v),
         )
     raise ValueError(f"unknown weight kind {kind!r}")
-
-
-def moment_m(f: WeightFunction, v: float) -> float:
-    """E[f^2(N(0, v))], closed form when available else quadrature."""
-    if f.m_closed is not None:
-        return float(f.m_closed(v))
-    return gauss_hermite_mean(lambda x: f.func(x) ** 2, v)
-
-
-def d2_mean_at(f: WeightFunction, v: float) -> float:
-    """E[f''(N(0, v))], closed form when available else quadrature."""
-    if f.d2_mean is not None:
-        return float(f.d2_mean(v))
-    if f.d2 is None:
-        raise ValueError(f"weight {f.kind!r} has no usable second derivative")
-    return gauss_hermite_mean(f.d2, v)
 
 
 @dataclass

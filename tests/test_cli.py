@@ -342,9 +342,23 @@ def test_verify_failure_exit_code(capsys):
     ["--which", "var", "--n-list", "8", "12", "16"],  # two grids at most, so no size goes unchecked
     ["--which", "var", "--n-list", "20", "7"],  # the draws are made at the larger size, which is judged last
     ["--which", "var", "--n-list", "12", "12"],  # a grid is not judged against itself
+    # ks judges f == 1 and mean f = square only, so another weight is refused, not ignored
+    ["--which", "ks", "--weight", "square"],
+    ["--which", "mean", "--weight", "cosine"],
+    ["--which", "mean", "--weight", "nonsense"],
 ])
 def test_verify_rejects_unusable_input(capsys, argv):
     assert _rejected(capsys, "verify", *argv, "--alpha", "0.35", "--beta", "0.35", "--seed", "1")
+
+
+@pytest.mark.parametrize("argv,own", [
+    (["--which", "ks", "--n", "8", "--M", "200"], "constant_one"),
+    (["--which", "mean", "--n-list", "8", "16"], "square"),
+], ids=["ks", "mean"])
+def test_verify_suite_own_weight_changes_nothing(capsys, argv, own):
+    base = ["verify", *argv, "--alpha", "0.35", "--beta", "0.35", "--seed", "1"]
+    want = main(base), capsys.readouterr()
+    assert (main([*base, "--weight", own]), capsys.readouterr()) == want
 
 
 @pytest.mark.parametrize("argv", [
@@ -390,12 +404,15 @@ HURST = '"alpha": 0.35, "beta": 0.35'
     (["verify", "--which", "mean", *H_FLAGS], '{"n_list": [8, %d], "seed": 1}' % (MAX_MEAN_N + 1)),
     (["verify", "--which", "var", *H_FLAGS, "--M", "2"], '{"n_list": [20, 7], "seed": 1}'),
     (["verify", "--which", "var", *H_FLAGS, "--M", "2"], '{"n_list": [12, 12], "seed": 1}'),
+    (["verify", "--which", "ks", "--n", "4", "--M", "100", "--seed", "1"], '{%s, "weight": "square"}' % HURST),
+    (["verify", "--which", "mean", *H_FLAGS, "--seed", "1"], '{"n_list": [8, 16], "weight": "cosine"}'),
 ], ids=[
     "malformed-json", "tol-string", "n-float", "n-bool", "seed-string", "n_list-scalar",
     "n_list-float", "n_list-empty", "n_list-three-sizes", "alpha-list", "beta-string", "alpha-huge-int",
     "points-string", "points-short", "points-outside", "lambda_grid-empty",
     "lambda_grid-charfn-bound", "lambda_grid-string", "lambda_grid-nan", "method-unknown",
     "z_kind-unknown", "n_list-above-mean-bound", "n_list-decreasing", "n_list-equal-sizes",
+    "weight-ks-not-constant_one", "weight-mean-not-square",
 ])
 def test_config_rejects_unusable_values(capsys, tmp_path, command, content):
     cfg = tmp_path / "cfg.json"

@@ -94,6 +94,9 @@ CONFIGS = st.one_of(st.none(), st.fixed_dictionaries({}, optional={k: _value(v) 
 @example(argv=["verify", "--which", "charfn", *_VALID, "--n", "8"], config={"points": [[1.0, 1.0]]})
 @example(argv=["verify", "--which", "stable", *_VALID, "--n", "8", "--z-kind", "indicator_center"], config=None)
 @example(argv=["verify", "--which", "kernel-props", *_VALID, "--cases", "100"], config=None)
+# a weight the suite does not judge: the generator draws it for ks and mean only by chance
+@example(argv=["verify", "--which", "ks", *_VALID, "--n", "8", "--weight", "square"], config=None)
+@example(argv=["verify", "--which", "mean", *_VALID, "--n-list", "2", "4", "--weight", "cosine"], config=None)
 def test_every_command_line_runs_fails_a_check_or_is_refused(argv, config):
     with tempfile.TemporaryDirectory() as tmp:
         argv = [f"{tmp}/out" if tok == "OUT" else tok for tok in argv]

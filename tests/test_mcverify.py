@@ -1,5 +1,6 @@
 """Verification harness: exact moments, MC machinery, and pass rules."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -40,7 +41,7 @@ from sheetqv.mcverify import (
     second_moment_limit,
     stable_convergence_check,
 )
-from sheetqv.qv import WeightFunction, d2_mean_at, eval_qv, qv_process, weight
+from sheetqv.qv import eval_qv, qv_process, weight
 from sheetqv.sigma import sigma
 
 H = HurstPair(0.35, 0.35)
@@ -126,22 +127,19 @@ def _exact_mean_per_cell(h, f, n, t):
     db = _corner_inner_1d(h.beta, n2, n)
     va = ((np.arange(1, n1 + 1) - 1.0) / n) ** (2.0 * h.alpha)
     vb = ((np.arange(1, n2 + 1) - 1.0) / n) ** (2.0 * h.beta)
-    e2 = np.vectorize(lambda vv: d2_mean_at(f, vv))(np.outer(va, vb))
+    e2 = np.vectorize(lambda vv: float(f.d2_mean(vv)))(np.outer(va, vb))
     scale = float(n) ** (2.0 * (h.alpha + h.beta) - 1.0)
     return float(scale * np.sum(e2 * np.outer(da * da, db * db)))
 
 
 @pytest.mark.parametrize("t", [(1.0, 1.0), (0.5, 1.0), (0.123, 0.999)])
-@pytest.mark.parametrize("kind", ["square", "cosine", "identity", "constant_one", "quadrature"])
+@pytest.mark.parametrize("kind", ["square", "cosine", "identity", "constant_one"])
 def test_exact_mean_equals_per_cell_oracle(kind, t):
     # 256, 1024: leaves of whole rows; 257, 300 and partial t: leaves that
     # start and end inside a row
-    if kind == "quadrature":  # no closed form: E[f''] by Gauss-Hermite, cell by cell
-        f, sizes = WeightFunction("cos_by_quadrature", func=np.cos, d2=lambda x: -np.cos(x)), (8, 16)
-    else:
-        f, sizes = weight(kind), (8, 64, 256, 257, 300, 1024)
+    f = weight(kind)
     h = HurstPair(0.35, 0.4)
-    for n in sizes:
+    for n in (8, 64, 256, 257, 300, 1024):
         assert exact_mean(h, f, n, t) == _exact_mean_per_cell(h, f, n, t)
 
 
@@ -237,13 +235,13 @@ def test_point_samples_equal_qv_process_across_chunks():
     # both statistic paths give the same bits, also on both sides of the first
     # chunk boundary the executor picks at this n, and at points on an axis
     f = weight("cosine")
-    n, seed, offset = 8, 61, 7
+    n, seed = 8, 61
     size = _chunk_reps(n, "cholesky")
     M = size + 44
     points = [(0.0, 0.4), (1.0, 1.0), (0.5, 0.75), (0.3, 1.0)]
-    xs, _ = qv_point_samples(H, f, n, M, seed, points, rep_offset=offset)[n]
+    xs, _ = qv_point_samples(H, f, n, M, seed, points)[n]
     for r in (0, size - 1, size, M - 1):
-        inc = sample_increments(H, n, replication_rng(seed, offset + r, PURPOSE_SHEET))
+        inc = sample_increments(H, n, replication_rng(seed, r, PURPOSE_SHEET))
         p = qv_process(inc, f)
         assert np.array_equal(xs[r], [eval_qv(p, s, t) for s, t in points])
 
@@ -321,9 +319,10 @@ def test_worker_exception_propagates_and_threads_end(monkeypatch):
 
     # one replication per chunk, so the next chunk is drawn when it raises
     _set_chunk_reps(monkeypatch, 4, 1)
+    failing = dataclasses.replace(weight("identity"), kind="fails", func=fails)
     before = threading.active_count()
     with pytest.raises(ArithmeticError, match="weight failed"):
-        qv_point_samples(H, WeightFunction("fails", func=fails), 4, 50, 3, [(1.0, 1.0)])
+        qv_point_samples(H, failing, 4, 50, 3, [(1.0, 1.0)])
     assert threading.active_count() == before
 
     # a failure on the worker alone, which always gets the first chunk:
@@ -393,13 +392,27 @@ def test_zero_replications_give_empty_samples(monkeypatch):
     assert xs.shape == (3, 2) and zs is None
 
 
-def test_qv_point_samples_rep_offset_disjoint():
-    f = weight("constant_one")
-    a, _ = qv_point_samples(H, f, 4, 4, 5, points=[(1.0, 1.0)])[4]
-    b, _ = qv_point_samples(H, f, 4, 4, 5, points=[(1.0, 1.0)], rep_offset=4)[4]
-    c, _ = qv_point_samples(H, f, 4, 8, 5, points=[(1.0, 1.0)])[4]
-    assert np.array_equal(np.concatenate([a, b]), c)  # offset = continuation
-    assert not np.array_equal(a, b)
+def test_reference_rows_are_the_sheets_of_replications_m_onward():
+    # row r of the reference side holds replication M + r's f^2 corner sums and
+    # Z, also on both sides of the first chunk boundary the executor picks at n
+    f = weight("cosine")
+    n, seed = 8, 61
+    size = _chunk_reps(n, "cholesky")
+    M = size + 44
+    points = [(0.0, 0.4), (1.0, 1.0), (0.5, 0.75)]
+    corner = lambda nodes: nodes[:, -1, -1]
+    sums, zs = _q_quadform_samples(H, f, n, M, seed, points, functional=corner)[n]
+    idx = [(math.floor(n * s), math.floor(n * t)) for s, t in points]
+    for r in (0, size - 1, size, M - 1):
+        inc = sample_increments(H, n, replication_rng(seed, M + r, PURPOSE_SHEET))
+        nodes = field_from_increments(inc).values
+        full = (f.func(nodes[:-1, :-1]) ** 2).cumsum(axis=0).cumsum(axis=1)
+        want = [
+            full[min(i, k) - 1, min(j, l) - 1] if min(i, k) and min(j, l) else 0.0
+            for (i, j), (k, l) in itertools.product(idx, idx)
+        ]
+        assert np.array_equal(sums[r], want)
+        assert np.array_equal(zs[r], nodes[-1, -1])
 
 
 def test_qv_point_samples_sheet_functional():

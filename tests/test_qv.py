@@ -8,15 +8,7 @@ import pytest
 
 from sheetqv.fieldsim import PURPOSE_SHEET, field_from_increments, replication_rng, sample_increments
 from sheetqv.kernel import HurstPair
-from sheetqv.qv import (
-    WeightFunction,
-    d2_mean_at,
-    eval_qv,
-    moment_m,
-    qv_process,
-    weight,
-    write_qv_csv,
-)
+from sheetqv.qv import eval_qv, qv_process, weight, write_qv_csv
 
 H = HurstPair(0.35, 0.4)
 
@@ -50,29 +42,26 @@ def test_moment_m_closed_forms_match_quadrature():
         f = weight(kind)
         for v in (0.1, 0.7, 2.0):
             quad = gauss_hermite_mean(lambda x: np.asarray(f.func(x)) ** 2, v)
-            assert moment_m(f, v) == pytest.approx(quad, rel=1e-10, abs=1e-12)
+            assert float(f.m_closed(v)) == pytest.approx(quad, rel=1e-10, abs=1e-12)
+
+
+# f'' of each weight, written out here so that the check does not rest on qv
+SECOND_DERIVATIVES = {
+    "constant_one": lambda x: np.zeros_like(x),
+    "identity": lambda x: np.zeros_like(x),
+    "square": lambda x: np.full_like(x, 2.0),
+    "cosine": lambda x: -np.cos(x),
+}
 
 
 def test_d2_mean_closed_forms_match_quadrature():
     from sheetqv.quadrature import gauss_hermite_mean
 
-    for kind in ("constant_one", "identity", "square", "cosine"):
+    for kind, d2 in SECOND_DERIVATIVES.items():
         f = weight(kind)
         for v in (0.1, 0.7, 2.0):
-            quad = gauss_hermite_mean(f.d2, v)
-            assert d2_mean_at(f, v) == pytest.approx(quad, rel=1e-10, abs=1e-12)
-
-
-def test_d2_mean_requires_second_derivative():
-    f = WeightFunction(kind="table", func=lambda x: np.interp(x, [-1.0, 1.0], [0.0, 1.0]))
-    with pytest.raises(ValueError):
-        d2_mean_at(f, 1.0)
-
-
-def test_moment_m_quadrature_fallback():
-    # identity on [-8, 8]; no closed form, so E[f^2] comes from quadrature
-    f = WeightFunction(kind="table", func=lambda x: np.interp(x, [-8.0, 8.0], [-8.0, 8.0]))
-    assert moment_m(f, 1.0) == pytest.approx(1.0, rel=1e-6)
+            quad = gauss_hermite_mean(d2, v)
+            assert float(f.d2_mean(v)) == pytest.approx(quad, rel=1e-10, abs=1e-12)
 
 
 # --- qv_process -----------------------------------------------------------------
