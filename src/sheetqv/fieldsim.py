@@ -25,7 +25,10 @@ matter how replications are scheduled across workers. The draws fill
 their array in order, so the first k normals of a stream are the same
 whatever shape it fills: the (m_c, m_c) draws of a coarser grid are the
 first m_c^2 normals of the (m, m) draws of a finer one, and one draw
-serves both.
+serves both. The contract covers the draws, not the factors: a Cholesky
+factor's bits depend on the numpy/BLAS build and its thread count (they
+differ between one and two OpenBLAS threads at n = 1024), so Cholesky
+fields are reproducible only for a fixed build and thread count.
 """
 
 from __future__ import annotations

@@ -135,17 +135,32 @@ def rho(gamma: float, c: int) -> float:
     return _pow2g(c + 1, gamma) + _pow2g(c - 1, gamma) - 2.0 * _pow2g(c, gamma)
 
 
-def rho_range(gamma: float, lo: int, hi: int) -> np.ndarray:
+def rho_range(gamma: float, lo: int, hi: int, out=None) -> np.ndarray:
     """``rho`` at the contiguous lags lo, lo+1, ..., hi-1 (0 <= lo <= hi).
 
     One ``pow`` per lag: p = |x|^{2 gamma} over x = lo-1 .. hi, with p = 0
     at x = 0, and rho = p(x+1) + p(|x-1|) - 2 p(x) as three shifted slices
     of that table. A range far from 0 costs no more than one near it.
+
+    ``out=(steps, table, res)`` allocates nothing: ``steps`` holds 0.0, 1.0,
+    2.0, ... and is only read, the table is built in ``table`` and rho in
+    ``res``, whose first hi - lo elements are returned. ``steps`` and
+    ``table`` need hi - lo + 2 elements. Every element is the same float
+    either way.
     """
-    p = np.abs(np.arange(lo - 1, hi + 1, dtype=float)) ** (2.0 * gamma)
+    m = hi - lo
+    if out is None:
+        p, r = np.arange(lo - 1, hi + 1, dtype=float), np.empty(m)
+    else:
+        steps, table, res = out
+        p, r = np.add(steps[: m + 2], lo - 1, out=table[: m + 2]), res[:m]
+    np.abs(p, out=p)
+    p **= 2.0 * gamma
     if lo <= 1:
         p[1 - lo] = 0.0
-    return p[2:] + p[:-2] - 2.0 * p[1:-1]
+    np.add(p[2:], p[:-2], out=r)
+    p[1:-1] *= 2.0
+    return np.subtract(r, p[1:-1], out=r)
 
 
 def rho_array(gamma: float, c: np.ndarray) -> np.ndarray:

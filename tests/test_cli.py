@@ -444,9 +444,9 @@ def test_unreachable_sigma_tolerance_exits_after_cutoff_4(capsys, monkeypatch, a
     axis_sum = sigma_module._axis_sum_sq
     cutoffs = []
 
-    def counting(gamma, cutoff):
+    def counting(gamma, cutoff, carry=None):
         cutoffs.append(cutoff)
-        return axis_sum(gamma, cutoff)
+        return axis_sum(gamma, cutoff, carry)
 
     monkeypatch.setattr(sigma_module, "_axis_sum_sq", counting)
     assert _rejected(capsys, *argv)

@@ -2,6 +2,8 @@
 
 import importlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -112,7 +114,7 @@ def test_tail_bound_survives_tails_below_an_ulp_of_the_axis_sums(monkeypatch):
     # the axis sum and tail at alpha = beta = 0.3 near cutoff 1e8, without walking the series:
     # (s + t)^2 - s^2 rounds to 0 there, and the bound must not claim sigma^2 exactly
     s, t = 4.5, 2.5e-16
-    monkeypatch.setattr(sigma_module, "_axis_sum_sq", lambda gamma, cutoff: s)
+    monkeypatch.setattr(sigma_module, "_axis_sum_sq", lambda gamma, cutoff, carry=None: s)
     monkeypatch.setattr(sigma_module, "_axis_tail", lambda gamma, cutoff: t)
     assert 0.125 * ((s + t) * (s + t) - s * s) == 0.0
     res = sigma_squared_partial(HurstPair(0.3, 0.3), 10**8)
@@ -169,10 +171,14 @@ def _crafted_blocks():
 BLOCKS = {name: np.asarray(t, dtype=float) for name, t in _crafted_blocks()}
 
 
+def _parts_of_a_copy(t):
+    return _exact_parts(t.copy(), np.empty(t.size, np.int64))
+
+
 @pytest.mark.parametrize("name", BLOCKS)
 def test_exact_parts_sum_to_the_fsum_of_the_terms(name):
     t = BLOCKS[name]
-    parts = _exact_parts(t)
+    parts = _parts_of_a_copy(t)
     assert math.fsum(parts) == math.fsum(t.tolist())
     if isinstance(parts, memoryview):
         assert parts.tolist() == t.tolist()
@@ -188,20 +194,111 @@ def test_exact_parts_sum_to_the_fsum_of_the_terms(name):
      ("near-subnormal", False), ("tiny", False)],
 )
 def test_exact_parts_fall_back_outside_the_exact_case(name, exact):
-    assert isinstance(_exact_parts(BLOCKS[name]), memoryview) is not exact
+    assert isinstance(_parts_of_a_copy(BLOCKS[name]), memoryview) is not exact
+
+
+def _record_blocks(monkeypatch):
+    """Every block's parts, keyed by its first lag, and the threads that built them.
+
+    Two threads build the blocks, so the order of the calls is a race and
+    only the block's start identifies it.
+    """
+    parts, threads = {}, {}
+    block_parts = sigma_module._block_parts
+
+    def recording(gamma, lo, hi, steps, buffers):
+        parts[gamma, lo] = block_parts(gamma, lo, hi, steps, buffers)
+        threads[gamma, lo] = threading.get_ident()
+        return parts[gamma, lo]
+
+    monkeypatch.setattr(sigma_module, "_block_parts", recording)
+    return parts, threads
 
 
 def test_axis_sum_blocks_after_the_first_are_two_floats(monkeypatch):
-    calls = []
-
-    def counting(t):
-        calls.append(_exact_parts(t))
-        return calls[-1]
-
-    monkeypatch.setattr(sigma_module, "_exact_parts", counting)
+    parts, _ = _record_blocks(monkeypatch)
     _axis_sum_sq(0.35, 4_000_000)
-    assert isinstance(calls[0], memoryview)  # the first block spans 1 down to ~2^-41
-    assert all(isinstance(p, tuple) for p in calls[1:])
+    assert sorted(lo for _, lo in parts) == list(range(1, 4_000_001, _BLOCK))
+    assert isinstance(parts[0.35, 1], memoryview)  # the first block spans 1 down to ~2^-41
+    assert all(isinstance(p, tuple) for (_, lo), p in parts.items() if lo > 1)
+
+
+def _series_partials(monkeypatch, h, tol):
+    """sigma_series(h, tol) and the partial sum it built at each cutoff, in order."""
+    seen = []
+    partial = sigma_module.sigma_squared_partial
+
+    def recording(h, cutoff, _carry=None):
+        seen.append(partial(h, cutoff, _carry=_carry))
+        return seen[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(sigma_module, "sigma_squared_partial", recording)
+        res = sigma_series(h, tol)
+    assert seen[-1] is res
+    assert [r.cutoff for r in seen] == [4 * 10**k for k in range(len(seen))]
+    return seen
+
+
+def _bits(res):
+    return res.value.hex(), res.cutoff, res.tail_bound.hex()
+
+
+@pytest.mark.parametrize(
+    "a,b,last",
+    [(0.35, 0.4, 4_000_000), (0.3, 0.45, 4_000_000), (0.45, 0.45, 4_000_000),
+     (0.35, 0.35, 400_000), (0.5, 0.5, 4)],
+)
+def test_series_equals_the_partial_sum_from_lag_1_at_every_cutoff(monkeypatch, a, b, last):
+    h = HurstPair(a, b)
+    seen = _series_partials(monkeypatch, h, 1e-10)
+    assert seen[-1].cutoff == last
+    for res in seen:
+        assert _bits(res) == _bits(sigma_squared_partial(h, res.cutoff)), res.cutoff
+
+
+def test_tolerance_met_at_cutoff_4_starts_no_thread(monkeypatch):
+    h = HurstPair(0.35, 0.4)
+    _, threads = _record_blocks(monkeypatch)
+    (res,) = _series_partials(monkeypatch, h, 1e-2)
+    assert res.cutoff == 4 and set(threads.values()) == {threading.get_ident()}
+    assert _bits(res) == _bits(sigma_squared_partial(h, 4))
+
+
+def test_small_blocks_split_one_cutoff_between_both_threads(monkeypatch):
+    # blocks of 7 lags: the cutoff 4000 adds 515 blocks to each axis, handed
+    # out under a short switch interval so the threads interleave often
+    monkeypatch.setattr(sigma_module, "_BLOCK", 7)
+    h = HurstPair(0.35, 0.4)
+    _, threads = _record_blocks(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        seen = _series_partials(monkeypatch, h, 2e-7)
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen[-1].cutoff == 4000
+    for gamma in (h.alpha, h.beta):
+        late = {threads[gamma, lo] for lo in range(401, 4001, 7)}
+        assert len(late) == 2, gamma
+    for res in seen:
+        assert _bits(res) == _bits(sigma_squared_partial(h, res.cutoff)), res.cutoff
+
+
+def test_worker_exception_propagates_and_threads_end(monkeypatch):
+    caller = threading.get_ident()
+    block_parts = sigma_module._block_parts
+
+    def failing(*args):
+        if threading.get_ident() != caller:
+            raise ArithmeticError("worker failed")
+        return block_parts(*args)
+
+    monkeypatch.setattr(sigma_module, "_block_parts", failing)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="worker failed"):
+        sigma_series(HurstPair(0.35, 0.4), 1e-10)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("block", [7, _BLOCK])
