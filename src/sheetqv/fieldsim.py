@@ -201,12 +201,14 @@ def write_field(path, f: GridField) -> None:
 def write_csv_rows(fh, rows: np.ndarray, end: str) -> None:
     """Write each row of a 2-D array as one line of %.17g values joined by commas.
 
-    One ``%`` per row over a template built once; each row is converted to
-    Python floats on its own, so no list of the whole array is ever held.
+    ``end`` is the line end ("\\n" or "\\r\\n"). The text is byte for byte that
+    of ``"%.17g" % v`` for every value; ``csvtext.write_rows`` computes it
+    in blocks on two threads. It is imported here, at the first call, so
+    that commands writing no CSV neither load nor compile it.
     """
-    template = ",".join(["%.17g"] * rows.shape[1]) + end
-    for row in rows:
-        fh.write(template % tuple(row.tolist()))
+    from . import csvtext
+
+    csvtext.write_rows(fh, rows, end)
 
 
 def read_field(path) -> GridField:

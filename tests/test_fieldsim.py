@@ -1,11 +1,19 @@
 """Exact sampler: factorizations, covariance agreement, determinism, I/O."""
 
+import io
 import math
+import sys
+import threading
+import time
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from sheetqv import csvtext, fieldsim
 from sheetqv.fieldsim import (
     GridField,
     PURPOSE_SHEET,
@@ -302,3 +310,174 @@ def test_read_field_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 28)
     with pytest.raises(ValueError):
         read_field(path)
+
+
+# values whose %.17g text is easy to get wrong: nan, infinities, signed zero,
+# the smallest subnormal and numbers near the largest double
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0, -2.5e-17])
+
+
+def _per_value_lines(rows, end):
+    """Reference: one f-string per value, joined row by row."""
+    return "".join(",".join(f"{v:.17g}" for v in row) + end for row in rows)
+
+
+def _csv_lines(rows, end):
+    fh = io.StringIO()
+    fieldsim.write_csv_rows(fh, rows, end)
+    return fh.getvalue()
+
+
+def _shapes(values):
+    """Rows of three values when the count allows, else one column."""
+    return values.map(lambda flat: flat.reshape(-1, 1) if flat.size % 3 else flat.reshape(-1, 3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.one_of(
+        _shapes(arrays(np.uint64, st.integers(1, 60)).map(lambda u: u.view(np.float64))),
+        _shapes(arrays(np.float64, st.integers(1, 60), elements=st.floats())),
+        _shapes(arrays(np.float64, st.integers(1, 60), elements=st.floats(-1e16, 1e16))),
+    ),
+    end=st.sampled_from(["\n", "\r\n"]),
+)
+def test_csv_text_equals_per_value_format(rows, end):
+    # bit patterns, hypothesis' edge floats (nan, inf, subnormals, -0.0) and the fast range
+    assert _csv_lines(rows, end) == _per_value_lines(rows, end)
+
+
+def _ties():
+    """Values exactly halfway between two 17-digit decimals, with decimal exponents 12, 13 and 14."""
+    out = []
+    for digits, frac_bits in (("1234567890123", 5), ("12345678901234", 4), ("123456789012345", 3)):
+        for odd in (1, 3, 5, 7):
+            v = int(digits) + odd * 2.0**-frac_bits
+            d = Decimal(v).as_tuple().digits
+            assert len(d) == 18 and d[-1] == 5  # exactly representable, and a tie
+            out.append(v)
+    return out
+
+
+def _edge_values():
+    powers = [10.0**k for k in range(-12, 18)] + [float(f"1e{k}") for k in range(-12, 18)]
+    near = [np.nextafter(p, toward) for p in powers for toward in (0.0, np.inf)]
+    edges = [1e-11, 1e15, 9.9999999999999995e-07, 123456789012345.125, 5e-12, 9.5e-12, 2.0**51, 5e15, 9.999999999999998e15]
+    edges += [np.nextafter(e, toward) for e in (1e-11, 1e15) for toward in (0.0, np.inf)]
+    values = np.array(powers + near + edges + _ties())
+    return np.concatenate([values, -values, SPECIAL])
+
+
+def test_no_double_in_the_fast_range_rounds_up_to_a_power_of_ten():
+    # 17 digits of |v| with decimal exponent X in [-11, 14] reach 10^(X+1) only
+    # for |v| within 5e-18 (relative) below it, closer than a double's spacing,
+    # so only the largest double below each power could; the encoder relies on none doing so
+    for k in range(-10, 16):
+        power = Decimal(10) ** k
+        below = float(power)
+        if Decimal(below) >= power:
+            below = math.nextafter(below, 0.0)
+        assert Decimal(f"{below:.17g}") < power
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+@pytest.mark.parametrize("cols", [1, 7])
+def test_csv_text_at_digit_and_range_edges(cols, end):
+    # powers of ten and their neighbours, 17th-digit ties, and the ends of the fast range
+    values = _edge_values()
+    rows = np.resize(values, (-(-values.size // cols), cols))
+    assert _csv_lines(rows, end) == _per_value_lines(rows, end)
+    for empty in (np.zeros((3, 0)), np.zeros((0, cols))):
+        assert _csv_lines(empty, end) == _per_value_lines(empty, end)
+
+
+def _statistic_like(rows, cols, seed=5):
+    values = np.random.default_rng(seed).standard_normal((rows, cols)).cumsum(axis=1)
+    values[:, 0] = 0.0
+    return values
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 31])
+def test_blocks_split_between_both_threads(monkeypatch, rows):
+    # blocks of 3 rows: 1, block - 1, block and block + 1 rows, and many blocks
+    monkeypatch.setattr(csvtext, "_BLOCK", 3 * 7)
+    encode, threads = csvtext._encode, set()
+
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        time.sleep(0.002)  # lets the other thread take the next block
+        return encode(*args)
+
+    monkeypatch.setattr(csvtext, "_encode", recorded)
+    values = _statistic_like(rows, 7)
+    values[-1, -3:] = SPECIAL[:3]
+    assert _csv_lines(values, "\r\n") == _per_value_lines(values, "\r\n")
+    assert len(threads) == (2 if rows > 3 else 1)
+
+
+def test_blocks_stay_in_order_under_fast_thread_switches(monkeypatch):
+    # one-row blocks and a 1 us switch interval: a lost update or a block
+    # written out of turn changes the text
+    monkeypatch.setattr(csvtext, "_BLOCK", 3)
+    values = _statistic_like(400, 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for end in ("\n", "\r\n"):
+            assert _csv_lines(values, end) == _per_value_lines(values, end)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _Writes:
+    def __init__(self, fail=False, keep=True):
+        self.texts, self.fail, self.keep = [], fail, keep
+
+    def write(self, text):
+        if self.fail:
+            raise OSError("disk full")
+        if self.keep:
+            self.texts.append(text)
+
+
+def test_each_write_carries_at_most_one_block(monkeypatch):
+    # five-row blocks of 9 values, and the default block at n = 1024
+    for block, shape in ((5 * 9, (23, 9)), (csvtext._BLOCK, (80, 1025))):
+        monkeypatch.setattr(csvtext, "_BLOCK", block)
+        values = _statistic_like(*shape)
+        fh = _Writes()
+        fieldsim.write_csv_rows(fh, values, "\n")
+        assert "".join(fh.texts) == _per_value_lines(values, "\n")
+        assert max(t.count(",") + t.count("\n") for t in fh.texts) <= block
+
+
+def test_csv_heap_is_bounded_at_any_size():
+    # the block scratch is mapped, not allocated: only the pieces of text pass through the heap
+    values, devnull = _statistic_like(1025, 1025), _Writes(fail=False, keep=False)
+    fieldsim.write_csv_rows(devnull, values[:2], "\n")  # tables and lazy numpy state
+    tracemalloc.start()
+    try:
+        fieldsim.write_csv_rows(devnull, values, "\r\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # one block of heap temporaries was 15 MB
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_errors_come_out_and_threads_end(monkeypatch, where):
+    caller, encode = threading.get_ident(), csvtext._encode
+
+    def failing(*args):
+        if threading.get_ident() != caller:
+            raise ArithmeticError("worker failed")
+        time.sleep(0.01)  # the worker takes a block meanwhile
+        return encode(*args)
+
+    if where == "worker":
+        monkeypatch.setattr(csvtext, "_encode", failing)
+    monkeypatch.setattr(csvtext, "_BLOCK", 4 * 9)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError if where == "worker" else OSError):
+        fieldsim.write_csv_rows(_Writes(fail=where == "caller"), _statistic_like(40, 9), "\n")
+    assert threading.active_count() == before
