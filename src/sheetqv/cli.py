@@ -346,7 +346,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, FileNotFoundError, RegimeError, CutoffError) as e:
+    except (ConfigError, OSError, RegimeError, CutoffError) as e:
         _note(f"error: {e}")
         return EXIT_CONFIG
     except MemoryError as e:  # sizes no machine holds are refused like any other bad input

@@ -4,8 +4,9 @@
 joined by commas. Finite values whose decimal exponent X lies in [-11, 14]
 get their 17 significant digits exactly with integer arithmetic in numpy
 (``_quotient``), and their text is laid out in a byte matrix (``_encode``);
-every other value is formatted by Python. Blocks go to the calling thread
-and one worker thread, in scratch that lives in anonymous memory mappings.
+every other value is formatted by Python. Blocks go in pairs to the calling
+thread and one worker thread, in scratch that lives in anonymous memory
+mappings.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 import functools
 import math
 import mmap
-import threading
 
 import numpy as np
+
+from ._threads import alongside
 
 _BLOCK = 1 << 16  # values per block: memory is O(block) at any n
 _PIECE = 1 << 11  # values per str written, and per fallback %-format
@@ -283,14 +285,15 @@ def write_rows(fh, rows: np.ndarray, end: str) -> None:
     of ``"%.17g" % v`` for every value: ``_encode`` computes it exactly with
     integer arithmetic in numpy for finite values with decimal exponents in
     [-11, 14] (|v| from 1e-11 to below 1e15) and hands every other value to
-    Python's ``%``. Blocks of about ``_BLOCK`` values (whole rows) are
-    laid out by the calling thread and one worker thread, each taking the
-    next block left, in its own scratch; the calling thread writes them in
-    order, ``_PIECE`` values per ``write``. At most two blocks are taken and
-    not yet written, so memory is O(block) at any size, and the blocks'
-    arrays are unmapped on return. An error on the worker is raised here
-    once both threads are done. The worker calls nothing that perfbench
-    hooks.
+    Python's ``%``. Blocks of about ``_BLOCK`` values (whole rows) go in
+    pairs: the worker of ``alongside`` lays out the second block of a pair in
+    lane 1's scratch and lines while the calling thread lays out the first in
+    lane 0's and writes it; the second is written once the worker is joined.
+    An odd last block, or a single one, is the calling thread's alone, and
+    only it writes, ``_PIECE`` values per ``write``. At most two blocks are
+    laid out and not yet written, so memory is O(block) at any size, and the
+    blocks' arrays are unmapped on return. The worker calls nothing that
+    perfbench hooks.
     """
     cols = rows.shape[1]
     if cols == 0:  # every line is its end alone
@@ -304,73 +307,23 @@ def write_rows(fh, rows: np.ndarray, end: str) -> None:
     end = end.encode("ascii")
     _tables()  # built once, before two threads could race to build it
     lines = _mapped(*[(np.uint8, (size, _LINE))] * min(2, len(starts)))
-    scratch = _Scratch(size)
+    lanes = [(_Scratch(size), lane_lines) for lane_lines in lines]  # (scratch, lines) of a thread
+    counts = [0, 0]  # values laid out in each lane
 
-    def encode(i, scratch):
+    def encode(i, lane):
         block = rows[starts[i] : starts[i] + step]
-        _encode(block, scratch, lines[i % 2], end)
-        return block.size
+        _encode(block, *lanes[lane], end)
+        counts[lane] = block.size
 
-    if len(starts) == 1:
-        _write_lines(fh, lines[0][: encode(0, scratch)])
-        return
-    done, failed = {}, []
-    state = threading.Condition()
-    taken = written = 0  # blocks handed out (the next is starts[taken]) and blocks written
-    stop = False
+    def write(lane):
+        _write_lines(fh, lanes[lane][1][: counts[lane]])
 
-    def free():
-        # block i is laid out in lines[i % 2], free once block i - 2 is written
-        return taken < len(starts) and taken - written < 2
-
-    def take():
-        nonlocal taken
-        taken += 1
-        return taken - 1
-
-    def work():
-        try:
-            own = _Scratch(size)
-            while True:
-                with state:
-                    state.wait_for(lambda: stop or taken == len(starts) or free())
-                    if stop or taken == len(starts):
-                        return
-                    i = take()
-                count = encode(i, own)
-                with state:
-                    done[i] = count
-                    state.notify_all()
-        except BaseException as exc:  # raised again on the calling thread
-            with state:
-                failed.append(exc)
-                state.notify_all()
-
-    worker = threading.Thread(target=work, name="csv-blocks")
-    worker.start()
-    try:
-        for i in range(len(starts)):
-            while True:
-                with state:
-                    state.wait_for(lambda: failed or i in done or free())
-                    if failed or i in done:
-                        break
-                    mine = take()
-                count = encode(mine, scratch)
-                with state:
-                    done[mine] = count
-            if failed:
-                break
-            with state:
-                count = done.pop(i)
-            _write_lines(fh, lines[i % 2][:count])
-            with state:
-                written += 1
-                state.notify_all()
-    finally:
-        with state:
-            stop = True
-            state.notify_all()
-        worker.join()
-    if failed:
-        raise failed[0]
+    pairs = len(starts) // 2 * 2
+    for i in range(0, pairs, 2):
+        with alongside(encode, i + 1, 1):
+            encode(i, 0)
+            write(0)
+        write(1)
+    if pairs < len(starts):
+        encode(pairs, 0)
+        write(0)

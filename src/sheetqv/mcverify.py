@@ -15,11 +15,12 @@ characteristic-function checks.
 from __future__ import annotations
 
 import math
-from collections import deque
+import threading
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from ._threads import alongside
 from .fieldsim import PURPOSE_SHEET, factor_1d, prefix_nodes, standard_normals
 from .fieldsim import replication_rng  # noqa: F401  (perfbench.layers patches this name)
 from .kernel import HurstPair, rho
@@ -217,8 +218,10 @@ def _rep_bytes(n: int, method: str, coarse: int | None = None) -> int:
 def _chunk_reps(n: int, method: str, coarse: int | None = None) -> int:
     """Replications per chunk so that three chunks fit _CHUNK_BUDGET (at least 1).
 
-    Three are in flight at most: the worker's, one drawn and waiting for it,
-    and the one the calling thread finishes itself.
+    Three are in flight at most: the two that ``_node_chunks`` lends the
+    worker (the one it works on and one drawn and waiting for it), and the
+    one the calling thread finishes itself. A lent chunk holds its slot of
+    the two until the worker has finished it and dropped its draws.
     """
     return max(1, _CHUNK_BUDGET // (3 * _rep_bytes(n, method, coarse)))
 
@@ -238,18 +241,20 @@ def _node_chunks(h, n, seed, M, work, rep_offset=0, method="cholesky", coarse=No
     product, since a strided view handed to BLAS may change its bits.
 
     The calling thread draws every chunk (building the streams holds the GIL)
-    and queues it for the one worker thread, which forms the products, the
-    prefix sums and ``work``. When the worker has two unfinished chunks, the
-    calling thread finishes the chunk itself instead, so it never waits for
-    the worker before the end. ``work`` may thus run on either thread and must
-    touch no shared state but its own rows. The stream contract makes every
-    chunk size and every split between the threads give the same bits.
+    and lends it to the worker of ``alongside``, which forms the products, the
+    prefix sums and ``work``, through a two-slot semaphore and a queue. When
+    the worker holds two unfinished chunks, no slot is free and the calling
+    thread finishes the chunk itself, so it never waits for the worker before
+    the end. It draws no more chunks once the worker has failed. ``work`` may
+    thus run on either thread and must touch no shared state but its own rows.
+    The stream contract makes every chunk size and every split between the
+    threads give the same bits.
 
     Each thread writes its chunks' products and nodes into its own set of
     buffers. With fresh arrays per chunk (about 0.5 MB each at n = 64) glibc
     returned their pages and faulted them in again for every chunk.
     """
-    from concurrent.futures import ThreadPoolExecutor  # only the Monte Carlo suites need it
+    from queue import SimpleQueue  # only the Monte Carlo suites need it
 
     grids = [(n, work)] if coarse is None else [(n, work), coarse]
     factors = [(factor_1d(h.alpha, g, method), factor_1d(h.beta, g, method), w) for g, w in grids]
@@ -282,19 +287,27 @@ def _node_chunks(h, n, seed, M, work, rep_offset=0, method="cholesky", coarse=No
             grid_work(inc[:k], prefix_nodes(inc[:k], out=nodes[:k]), chunk)
 
     own, lent = buffers(), buffers()
-    pending = deque()  # the worker's unfinished chunks, in order
-    with ThreadPoolExecutor(1) as pool:
-        for start in range(0, M, size):
-            chunk = slice(start, min(start + size, M))
-            z = standard_normals(seed, rep_offset + start, chunk.stop - start, PURPOSE_SHEET, (m, m))
-            while pending and pending[0].done():
-                pending.popleft().result()  # raises what the worker raised
-            if len(pending) < 2:
-                pending.append(pool.submit(finish, z, lent, chunk))
-            else:
-                finish(z, own, chunk)
-        for future in pending:
-            future.result()
+    slots, chunks = threading.Semaphore(2), SimpleQueue()  # the worker holds at most two chunks
+
+    def lend():
+        for z, chunk in iter(chunks.get, None):
+            finish(z, lent, chunk)
+            del z  # a chunk's draws go before its slot does
+            slots.release()
+
+    with alongside(lend) as failed:
+        try:
+            for start in range(0, M, size):
+                if failed:
+                    break
+                chunk = slice(start, min(start + size, M))
+                z = standard_normals(seed, rep_offset + start, chunk.stop - start, PURPOSE_SHEET, (m, m))
+                if slots.acquire(blocking=False):
+                    chunks.put((z, chunk))
+                else:
+                    finish(z, own, chunk)
+        finally:
+            chunks.put(None)  # the worker stops after the chunks it was lent
 
 
 def _point_indices(n: int, points) -> np.ndarray:

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import alongside
 from .kernel import HurstPair, rho_range
 
 _CUTOFF_CAP = 10**8
@@ -121,14 +121,12 @@ def _extend(gamma: float, lo: int, hi: int, carry: _Carry) -> None:
     """Append the parts of the blocks of lags lo .. hi-1 to gamma's carried parts.
 
     A range of two blocks or more is split between the calling thread and
-    one worker thread, each taking the next block left, in its own buffers;
-    an error on the worker is raised here once both are done. The worker
-    calls nothing that perfbench hooks, so the trace keeps one span stack.
-    It is a bare ``threading.Thread``: importing ``concurrent.futures``
-    alone raised the peak RSS of the analytic benchmark by 0.5 MB.
+    the worker of ``alongside``, each taking the next block left, in its own
+    buffers. The worker calls nothing that perfbench hooks, so the trace
+    keeps one span stack.
     """
     starts = range(lo, hi, _BLOCK)
-    todo, done, failed = iter(starts), {}, []
+    todo, done = iter(starts), {}
 
     def run(buffers):
         for start in todo:  # next() on a range iterator is atomic: one thread per start
@@ -136,23 +134,11 @@ def _extend(gamma: float, lo: int, hi: int, carry: _Carry) -> None:
                 gamma, start, min(start + _BLOCK, hi), carry.steps, buffers
             )
 
-    def work():
-        try:
-            run(carry.buffers[1])
-        except BaseException as exc:  # raised again on the calling thread
-            failed.append(exc)
-
     if len(starts) < 2:
         run(carry.buffers[0])
     else:
-        worker = threading.Thread(target=work, name="sigma-blocks")
-        worker.start()
-        try:
+        with alongside(run, carry.buffers[1]):
             run(carry.buffers[0])
-        finally:
-            worker.join()
-        if failed:
-            raise failed[0]
     carry.parts.setdefault(gamma, []).extend(done[start] for start in starts)
 
 

@@ -374,6 +374,19 @@ def test_commands_reject_unusable_input(capsys, tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["sample", "--n", "8", "--seed", "1"], "--out"),
+    (["qv", "--n", "8", "--seed", "1"], "--out"),
+    (["verify", "--which", "mean", "--n-list", "8"], "--config"),
+], ids=["sample", "qv", "verify"])
+@pytest.mark.parametrize("where", ["directory", "under-a-file"])
+def test_commands_reject_unusable_paths(capsys, tmp_path, argv, flag, where):
+    # a directory, or a path whose parent is a file: an OSError, not a crash
+    (tmp_path / "file").write_text("")
+    path = tmp_path if where == "directory" else tmp_path / "file" / "out.csv"
+    assert _rejected(capsys, *argv, "--alpha", "0.35", "--beta", "0.4", flag, str(path))
+
+
 SMALL_MC = ["--n", "4", "--M", "2", "--seed", "1"]  # cheap if a bad value ever got through
 CHARFN = ["verify", "--which", "charfn", *SMALL_MC]
 HURST = '"alpha": 0.35, "beta": 0.35'

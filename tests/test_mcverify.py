@@ -339,6 +339,73 @@ def test_worker_exception_propagates_and_threads_end(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_worker_holds_at_most_two_chunks(monkeypatch):
+    # the worker sleeps through its first chunk while the calling thread draws
+    # the rest: the worker was lent chunks 0 and 1 only, so at most three
+    # chunks (those two and the caller's) were ever in flight
+    n, M, seed = 4, 30, 9
+    _set_chunk_reps(monkeypatch, n, 3)
+    caller, lent = threading.get_ident(), []
+
+    def work(inc, nodes, rows):
+        if threading.get_ident() != caller:
+            lent.append(rows.start)
+            if len(lent) == 1:
+                time.sleep(0.2)
+
+    mcverify._node_chunks(H, n, seed, M, work)
+    assert lent == [0, 3]
+
+
+def test_no_chunk_is_drawn_once_the_worker_has_failed(monkeypatch):
+    # the worker fails on its first chunk and keeps both slots, so without the
+    # stop the calling thread would finish the 48 chunks left itself
+    _set_chunk_reps(monkeypatch, 4, 1)
+    caller, worker_failed, on_caller = threading.get_ident(), threading.Event(), []
+
+    def work(inc, nodes, rows):
+        if threading.get_ident() != caller:
+            worker_failed.set()
+            raise ArithmeticError("worker failed")
+        on_caller.append(rows)
+        assert worker_failed.wait(5)
+        time.sleep(0.05)  # the error reaches the list just after the event
+
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="worker failed"):
+        mcverify._node_chunks(H, 4, 3, 50, work)
+    assert len(on_caller) <= 1
+    assert threading.active_count() == before
+
+
+def test_calling_thread_error_ends_the_worker(monkeypatch):
+    # the calling thread fails while the worker still holds its two chunks:
+    # the worker finishes them, finds the end of the queue and is joined
+    _set_chunk_reps(monkeypatch, 4, 1)
+    caller, done, raised = [], [], []
+
+    def work(inc, nodes, rows):
+        if threading.get_ident() in caller:
+            raise KeyError("caller failed")
+        time.sleep(0.05)  # the calling thread draws and fails meanwhile
+        done.append(rows.start)
+
+    def run():
+        caller.append(threading.get_ident())
+        try:
+            mcverify._node_chunks(H, 4, 3, 20, work)
+        except KeyError as exc:
+            raised.append(exc)
+
+    before = threading.active_count()
+    runner = threading.Thread(target=run)
+    runner.start()
+    runner.join(10)
+    assert not runner.is_alive() and len(raised) == 1
+    assert done[:2] == [0, 1]
+    assert threading.active_count() == before
+
+
 def test_chunks_reuse_one_set_of_buffers_per_thread(monkeypatch):
     # every chunk, the short last one too, lands in its thread's increment and
     # node buffers
