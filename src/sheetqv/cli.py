@@ -2,9 +2,11 @@
 
 Commands: sigma | sample | qv | verify. Configuration comes from
 flags, optionally seeded from a JSON config file (flag values override file
-values; keys use the flag names). The seed is always explicit — there is no
+values; keys use the flag names). A value is checked the same way whichever
+of the two it came from. The seed is always explicit — there is no
 wall-clock default — so every run is reproducible. Exit codes: 0 success /
-all tests pass, 1 test failure, 2 usage or config error.
+all tests pass, 1 test failure, 2 usage or config error; a wrong type, an
+unknown choice or an out-of-range size exits 2 with a one-line reason.
 
 JSON reports go to stdout (one object per line); human-readable progress
 lines go to stderr. All floats are serialized with 17 significant digits so
@@ -76,35 +78,49 @@ def _list_of(ok):
     return lambda v: isinstance(v, list) and len(v) > 0 and all(map(ok, v))
 
 
-def _one_of(choices):
-    return f"one of {', '.join(choices)}", lambda v: isinstance(v, str) and v in choices
+def _one_of(*choices):
+    # the flag lists the choices in --help; a wrong one is refused by the check, in one line
+    metavar = "{" + ",".join(choices) + "}"
+    return f"one of {', '.join(choices)}", lambda v: isinstance(v, str) and v in choices, {"metavar": metavar}
 
 
-_METHODS = ("cholesky", "circulant")
-_Z_KINDS = ("cos_corner", "indicator_center")
+_INTEGER = ("an integer", _is_integer, {"type": int})
+_NUMBER = ("a finite number", _is_number, {"type": float})
 
+# key: (what a value must be, its check, its flag's argparse keywords or None when
+# only a config file sets it). The flag is --key with "-" for "_".
+_OPTIONS = {
+    "alpha": _NUMBER,
+    "beta": _NUMBER,
+    "seed": _INTEGER,
+    "tol": _NUMBER,
+    "which": _one_of("mean", "var", "ks", "charfn", "stable", "kernel-props"),
+    "n": _INTEGER,
+    "n_list": ("a non-empty list of integers", _list_of(_is_integer), {"type": int, "nargs": "+"}),
+    "M": _INTEGER,
+    "cases": _INTEGER,
+    "method": _one_of("cholesky", "circulant"),
+    "format": _one_of("csv", "bin"),
+    "weight": _one_of(*qvmod.WEIGHTS),
+    "z_kind": _one_of("cos_corner", "indicator_center"),
+    "out": ("a file path", lambda v: isinstance(v, str), {}),
+    "points": ("a non-empty list of [s, t] points in the unit square", _list_of(_is_point), None),
+    "lambda_grid": ("a non-empty list of finite numbers", _list_of(_is_number), None),
+}
 
-# argparse types the flags and checks their choices; config values get the same
-# checks. points and lambda_grid have no flag, so a config file is their only source.
-_CONFIG_TYPES = {
-    "n": ("an integer", _is_integer),
-    "seed": ("an integer", _is_integer),
-    "M": ("an integer", _is_integer),
-    "cases": ("an integer", _is_integer),
-    "n_list": ("a non-empty list of integers", _list_of(_is_integer)),
-    "alpha": ("a finite number", _is_number),
-    "beta": ("a finite number", _is_number),
-    "tol": ("a finite number", _is_number),
-    "points": ("a non-empty list of [s, t] points in the unit square", _list_of(_is_point)),
-    "lambda_grid": ("a non-empty list of finite numbers", _list_of(_is_number)),
-    "method": _one_of(_METHODS),
-    "z_kind": _one_of(_Z_KINDS),
+# each command's flags besides --config, in --help order
+_FLAGS = {
+    "sigma": ("alpha", "beta", "tol"),
+    "sample": ("alpha", "beta", "seed", "n", "method", "format", "out"),
+    "qv": ("alpha", "beta", "seed", "n", "method", "weight", "out"),
+    "verify": ("alpha", "beta", "seed", "which", "n", "n_list", "M", "weight", "z_kind", "cases"),
 }
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
+    """The config file's values, overridden by the flags given, each key's value checked."""
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             try:
                 cfg = json.load(fh)
@@ -112,14 +128,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 raise ConfigError(f"config file {args.config} is not valid JSON: {e}") from e
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-        for k, (kind, ok) in _CONFIG_TYPES.items():
-            if k in cfg and not ok(cfg[k]):
-                raise ConfigError(f"config value {k!r} must be {kind}, got {cfg[k]!r}")
-    for k, v in vars(args).items():
-        if k in ("command", "config"):
-            continue
-        if v is not None:
-            cfg[k] = v
+    cfg.update((k, v) for k, v in vars(args).items() if k not in ("command", "config") and v is not None)
+    for k, (kind, ok, _) in _OPTIONS.items():
+        if k in cfg and not ok(cfg[k]):
+            raise ConfigError(f"option {k!r} must be {kind}, got {cfg[k]!r}")
     return cfg
 
 
@@ -160,13 +172,6 @@ def cmd_sigma(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _weight(cfg: dict, default: str) -> qvmod.WeightFunction:
-    try:
-        return qvmod.weight(cfg.get("weight", default))
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-
 def _one_sample(cfg: dict):
     """Increments of replication 0, the sample that sample and qv write."""
     h = _hurst(cfg)
@@ -181,18 +186,16 @@ def cmd_sample(cfg: dict) -> int:
     fmt = cfg.get("format", "csv")
     if fmt == "bin":
         fieldsim.write_field(cfg["out"], field)
-    elif fmt == "csv":
+    else:
         with open(cfg["out"], "w") as fh:
             fh.write(f"{field.n},{field.hurst.alpha:.17g},{field.hurst.beta:.17g}\n")
             fieldsim.write_csv_rows(fh, field.values, "\n")
-    else:
-        raise ConfigError(f"unknown format {fmt!r}")
     _note(f"wrote {fmt} field dump to {cfg['out']}")
     return EXIT_OK
 
 
 def cmd_qv(cfg: dict) -> int:
-    f = _weight(cfg, "constant_one")
+    f = qvmod.weight(cfg.get("weight", "constant_one"))
     proc = qvmod.qv_process(_one_sample(cfg), f)
     qvmod.write_qv_csv(cfg["out"], proc)
     _note(f"wrote statistic partial sums to {cfg['out']}")
@@ -217,7 +220,8 @@ def _grid_size(
 
 
 def cmd_verify(cfg: dict) -> int:
-    which = cfg.get("which")
+    _require(cfg, "which")
+    which = cfg["which"]
     # ks compares with the variance of f == 1, and mean's rules are written for f = square
     own = {"ks": "constant_one", "mean": "square"}.get(which)
     if own is not None and cfg.get("weight", own) != own:
@@ -226,7 +230,8 @@ def cmd_verify(cfg: dict) -> int:
     _require(cfg, "seed")
     seed = _at_least("--seed", cfg["seed"], 0)
     m_reps = int(cfg.get("M", 5000))
-    if which in ("var", "ks", "charfn", "stable"):
+    monte_carlo = which not in ("mean", "kernel-props")
+    if monte_carlo:
         # two replications for a standard error; the KS p-value is asymptotic
         _at_least(f"--M for --which {which}", m_reps, 100 if which == "ks" else 2)
     reports: list[mcverify.VerifyReport] = []
@@ -244,14 +249,14 @@ def cmd_verify(cfg: dict) -> int:
         if len(n_list) > 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ConfigError("--which var takes one --n-list size or two strictly increasing ones")
         coarse = n_list[0] if len(n_list) == 2 else None
-        f = _weight(cfg, "identity")
+        f = qvmod.weight(cfg.get("weight", "identity"))
         reports += mcverify.second_moment_limit(h, f, (1.0, 1.0), n_list[-1], m_reps, seed, coarse=coarse)
     elif which == "ks":
         n = _grid_size("--n", cfg.get("n", 64))
         reports += mcverify.ks_check(h, n, m_reps, seed)
     elif which == "charfn":
         n = _grid_size("--n (the check also runs at n // 2)", cfg.get("n", 64), 2)
-        f = _weight(cfg, "cosine")
+        f = qvmod.weight(cfg.get("weight", "cosine"))
         points = [tuple(p) for p in cfg.get("points", [(0.5, 1.0), (1.0, 0.5)])]
         lam = mcverify.lambda_product_grid(len(points), cfg.get("lambda_grid", mcverify.DEFAULT_LAMBDAS))
         bound = mcverify.MAX_CHARFN_LAMBDA
@@ -260,7 +265,7 @@ def cmd_verify(cfg: dict) -> int:
         reports += mcverify.charfn_compare(h, f, points, lam, n, m_reps, seed, coarse=n // 2)
     elif which == "stable":
         n = _grid_size("--n (the check also runs at n // 2)", cfg.get("n", 64), 2)
-        f = _weight(cfg, "identity")
+        f = qvmod.weight(cfg.get("weight", "identity"))
         lam = np.asarray(cfg.get("lambda_grid", mcverify.DEFAULT_LAMBDAS), dtype=float)
         z_kind = cfg.get("z_kind", "cos_corner")
         reports += mcverify.stable_convergence_check(
@@ -268,9 +273,7 @@ def cmd_verify(cfg: dict) -> int:
     elif which == "kernel-props":
         cases = _at_least("--cases", cfg.get("cases", 100_000), 1)
         reports += mcverify.kernel_property_suite(cases, seed)
-    else:
-        raise ConfigError(f"unknown verify suite {which!r}")
-    if which in ("var", "ks", "charfn", "stable") and not h.admissible():
+    if monte_carlo and not h.admissible():
         # the limit theorem does not cover this run, so its pass supports nothing
         for r in reports:
             r.extra["admissible"] = False
@@ -287,54 +290,23 @@ def cmd_verify(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
+_COMMANDS = {
+    "sigma": (cmd_sigma, "evaluate the limiting constant"),
+    "sample": (cmd_sample, "simulate one sheet field and dump it"),
+    "qv": (cmd_qv, "compute the statistic's partial sums"),
+    "verify": (cmd_verify, "run a verification suite"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sheetqv", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, seed=True):
+    for command, (_, summary) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
         sp.add_argument("--config", help="JSON config file; flags override its values")
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--beta", type=float)
-        if seed:
-            sp.add_argument("--seed", type=int)
-
-    sp = sub.add_parser("sigma", help="evaluate the limiting constant")
-    common(sp, seed=False)
-    sp.add_argument("--tol", type=float)
-
-    sp = sub.add_parser("sample", help="simulate one sheet field and dump it")
-    common(sp)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--method", choices=_METHODS)
-    sp.add_argument("--format", choices=["csv", "bin"])
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("qv", help="compute the statistic's partial sums")
-    common(sp)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--method", choices=_METHODS)
-    sp.add_argument("--weight")
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("verify", help="run a verification suite")
-    common(sp)
-    sp.add_argument("--which", choices=["mean", "var", "ks", "charfn", "stable", "kernel-props"])
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--n-list", dest="n_list", type=int, nargs="+")
-    sp.add_argument("--M", type=int)
-    sp.add_argument("--weight")
-    sp.add_argument("--z-kind", dest="z_kind", choices=_Z_KINDS)
-    sp.add_argument("--cases", type=int)
-
+        for k in _FLAGS[command]:
+            sp.add_argument("--" + k.replace("_", "-"), **_OPTIONS[k][2])
     return p
-
-
-_COMMANDS = {
-    "sigma": cmd_sigma,
-    "sample": cmd_sample,
-    "qv": cmd_qv,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:
@@ -345,7 +317,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else 0
     try:
         cfg = _merge_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (ConfigError, OSError, RegimeError, CutoffError) as e:
         _note(f"error: {e}")
         return EXIT_CONFIG

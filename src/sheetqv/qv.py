@@ -10,7 +10,6 @@ with the weight evaluated at the lower-left node of each cell.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,37 +34,40 @@ class WeightFunction:
     d2_mean: Callable
 
 
+# the built-in weights by name
+WEIGHTS = {w.kind: w for w in (
+    WeightFunction(
+        "constant_one",
+        func=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        m_closed=lambda v: 1.0,
+        d2_mean=lambda v: 0.0,
+    ),
+    WeightFunction(
+        "identity",
+        func=lambda x: np.asarray(x, dtype=float),
+        m_closed=lambda v: v,
+        d2_mean=lambda v: 0.0,
+    ),
+    WeightFunction(
+        "square",
+        func=lambda x: np.asarray(x, dtype=float) ** 2,
+        m_closed=lambda v: 3.0 * v * v,  # E[X^4] for X ~ N(0,v)
+        d2_mean=lambda v: 2.0,
+    ),
+    WeightFunction(
+        "cosine",
+        func=np.cos,
+        m_closed=lambda v: 0.5 * (1.0 + np.exp(-2.0 * v)),
+        d2_mean=lambda v: -np.exp(-0.5 * v),
+    ),
+)}
+
+
 def weight(kind: str) -> WeightFunction:
-    """Built-in weight functions by name."""
-    if kind == "constant_one":
-        return WeightFunction(
-            kind,
-            func=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            m_closed=lambda v: 1.0,
-            d2_mean=lambda v: 0.0,
-        )
-    if kind == "identity":
-        return WeightFunction(
-            kind,
-            func=lambda x: np.asarray(x, dtype=float),
-            m_closed=lambda v: v,
-            d2_mean=lambda v: 0.0,
-        )
-    if kind == "square":
-        return WeightFunction(
-            kind,
-            func=lambda x: np.asarray(x, dtype=float) ** 2,
-            m_closed=lambda v: 3.0 * v * v,  # E[X^4] for X ~ N(0,v)
-            d2_mean=lambda v: 2.0,
-        )
-    if kind == "cosine":
-        return WeightFunction(
-            kind,
-            func=np.cos,
-            m_closed=lambda v: 0.5 * (1.0 + np.exp(-2.0 * v)),
-            d2_mean=lambda v: -np.exp(-0.5 * v),
-        )
-    raise ValueError(f"unknown weight kind {kind!r}")
+    """A built-in weight function by name."""
+    if kind not in WEIGHTS:
+        raise ValueError(f"unknown weight kind {kind!r}")
+    return WEIGHTS[kind]
 
 
 @dataclass
@@ -107,5 +109,5 @@ def write_qv_csv(path, p: QVProcess) -> None:
     Lines end in CRLF, the line ending of the csv module's default dialect.
     """
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow([p.n, repr(p.hurst.alpha), repr(p.hurst.beta), p.weight_kind])
+        fh.write(f"{p.n},{p.hurst.alpha!r},{p.hurst.beta!r},{p.weight_kind}\r\n")
         write_csv_rows(fh, p.partial_sums, "\r\n")

@@ -1,14 +1,20 @@
 """Command-line front end: outputs, exit codes, config merging, determinism."""
 
+import argparse
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sheetqv
 from sheetqv import fieldsim
-from sheetqv.cli import EXIT_CONFIG, EXIT_OK, EXIT_TEST_FAILURE, main
+from sheetqv.cli import EXIT_CONFIG, EXIT_OK, EXIT_TEST_FAILURE, build_parser, main
 from sheetqv.fieldsim import read_field
 from sheetqv.kernel import HurstPair
 from sheetqv.mcverify import MAX_MEAN_N
@@ -366,6 +372,10 @@ def test_verify_suite_own_weight_changes_nothing(capsys, argv, own):
     ["sample", "--n", "8", "--seed", "-1"],
     ["qv", "--n", "5000", "--seed", "1"],
     ["sigma", "--tol", "0"],
+    # a flag's value gets the config file's check: finite, and a bad choice is one line, not a usage block
+    ["sigma", "--tol", "inf"],
+    ["sample", "--n", "8", "--seed", "1", "--method", "fft"],
+    ["verify", "--which", "nope", "--seed", "1"],
 ])
 def test_commands_reject_unusable_input(capsys, tmp_path, argv):
     out = tmp_path / "out.csv"
@@ -419,6 +429,10 @@ HURST = '"alpha": 0.35, "beta": 0.35'
     (["verify", "--which", "var", *H_FLAGS, "--M", "2"], '{"n_list": [12, 12], "seed": 1}'),
     (["verify", "--which", "ks", "--n", "4", "--M", "100", "--seed", "1"], '{%s, "weight": "square"}' % HURST),
     (["verify", "--which", "mean", *H_FLAGS, "--seed", "1"], '{"n_list": [8, 16], "weight": "cosine"}'),
+    (["verify", *H_FLAGS, "--seed", "1"], '{"which": ["ks"]}'),
+    (["sample", *H_FLAGS, "--n", "4", "--seed", "1"], '{"format": ["csv"]}'),
+    (["verify", "--which", "var", *H_FLAGS, "--M", "2", "--seed", "1"], '{"n_list": [4], "weight": {}}'),
+    (["verify", "--which", "stable", *SMALL_MC], '{%s, "z_kind": 1}' % HURST),
 ], ids=[
     "malformed-json", "tol-string", "n-float", "n-bool", "seed-string", "n_list-scalar",
     "n_list-float", "n_list-empty", "n_list-three-sizes", "alpha-list", "beta-string", "alpha-huge-int",
@@ -426,6 +440,7 @@ HURST = '"alpha": 0.35, "beta": 0.35'
     "lambda_grid-charfn-bound", "lambda_grid-string", "lambda_grid-nan", "method-unknown",
     "z_kind-unknown", "n_list-above-mean-bound", "n_list-decreasing", "n_list-equal-sizes",
     "weight-ks-not-constant_one", "weight-mean-not-square",
+    "which-list", "format-list", "weight-object", "z_kind-number",
 ])
 def test_config_rejects_unusable_values(capsys, tmp_path, command, content):
     cfg = tmp_path / "cfg.json"
@@ -434,6 +449,46 @@ def test_config_rejects_unusable_values(capsys, tmp_path, command, content):
     extra = ["--out", str(out)] if command[0] == "sample" else []
     assert _rejected(capsys, *command, "--config", str(cfg), *extra)
     assert not out.exists()
+
+
+def test_config_out_must_be_a_path(tmp_path):
+    # in a subprocess: an integer out would be taken as a file descriptor and could close this one's stdout
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"out": 1}')
+    src = str(Path(sheetqv.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "sheetqv.cli", "sample", *H_FLAGS, "--n", "4", "--seed", "1", "--config", str(cfg)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
+    assert len(done.stderr.strip().splitlines()) == 1
+
+
+# each command's flags as the hand-written subparsers declared them
+FLAGS = {
+    "sigma": {"--alpha", "--beta", "--tol"},
+    "sample": {"--alpha", "--beta", "--seed", "--n", "--method", "--format", "--out"},
+    "qv": {"--alpha", "--beta", "--seed", "--n", "--method", "--weight", "--out"},
+    "verify": {"--alpha", "--beta", "--seed", "--which", "--n", "--n-list", "--M", "--weight", "--z-kind", "--cases"},
+}
+CHOICES = {
+    "--method": "{cholesky,circulant}",
+    "--format": "{csv,bin}",
+    "--which": "{mean,var,ks,charfn,stable,kernel-props}",
+    "--z-kind": "{cos_corner,indicator_center}",
+    "--weight": "{constant_one,identity,square,cosine}",
+}
+
+
+def test_each_command_keeps_its_flags_and_lists_their_choices():
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(FLAGS)
+    for command, parser in sub.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings}
+        assert flags == FLAGS[command] | {"-h", "--help", "--config"}
+        text = parser.format_help()
+        for flag in FLAGS[command] & set(CHOICES):
+            assert f"{flag} {CHOICES[flag]}" in text, (command, flag)
 
 
 def test_sigma_cutoff_cap_exits_config_error(capsys, monkeypatch):

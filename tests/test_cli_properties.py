@@ -10,6 +10,8 @@ inadmissible, boundary and invalid Hurst indices; grid sizes up to 16 and
 above the sampler cap; replication counts up to 200; unknown names. Their
 σ series stop by cutoff 4·10⁶ or are refused at once, so each example is
 cheap (a σ tolerance such as 1e-6 at β = 0.6 walks 10⁸ terms for seconds).
+A config file may set any key too, with values of the wrong JSON type among
+its draws.
 """
 
 import contextlib
@@ -36,8 +38,27 @@ Z_KINDS = (["cos_corner", "indicator_center"], ["nope"])
 CASES = (["1", "100"], ["0"])
 OUT = (["OUT"], [])  # replaced by a path in a fresh directory
 
-# config-only keys: the flags cannot set them
+# Every key can come from the config file too, where a value can also have the wrong JSON type.
+# A flag given on the command line overrides the file's value.
+_NOT_A_STRING = [["x"], {"x": "y"}, True, 1]
+_HURST = ([0.35, 0.4, 0.3, 0.2, 0.5, 0.6, 0.9], [0, 1, float("nan"), "0.35", [0.35], True])
 CONFIG = {
+    "alpha": _HURST,
+    "beta": _HURST,
+    "tol": ([1e-10, 1e-3], [0, -1, float("inf"), "1e-3", {}]),
+    "n": ([1, 2, 4, 8, 16], [0, 5000, 2.5, True, "8"]),
+    "n_list": ([[4], [2, 4], [4, 8]], [[], [8, 16.5], 8, "8"]),
+    "M": ([2, 50, 100, 200], [1, 2.5, "200", None]),
+    "seed": ([0, 1, 7], [-1, 1.5, "1", [1]]),
+    "cases": ([1, 100], [0, "100", False]),
+    "method": (METHODS[0], METHODS[1] + _NOT_A_STRING),
+    "format": (FORMATS[0], FORMATS[1] + _NOT_A_STRING),
+    "weight": (WEIGHTS[0], WEIGHTS[1] + _NOT_A_STRING),
+    "which": (SUITES[0], SUITES[1] + _NOT_A_STRING),
+    "z_kind": (Z_KINDS[0], Z_KINDS[1] + _NOT_A_STRING),
+    # an integer (or a bool) out would be opened as a file descriptor, so the number drawn is 2.5
+    "out": (OUT[0], [["x"], {"x": "y"}, 2.5]),
+    # points and lambda_grid have no flag
     "points": ([[[0.5, 1.0], [1.0, 0.5]], [[1.0, 1.0]], [[0.0, 0.0], [1.0, 1.0], [0.25, 0.75]]],
                [[[1.5, 0.5]], [], "abc"]),
     "lambda_grid": ([[-1.0, 0.5], [0.0], [2.0, -5.0, 1.0]], [[1.0, 10.0], [], [float("nan")], "abc"]),
@@ -94,6 +115,9 @@ CONFIGS = st.one_of(st.none(), st.fixed_dictionaries({}, optional={k: _value(v) 
 @example(argv=["verify", "--which", "charfn", *_VALID, "--n", "8"], config={"points": [[1.0, 1.0]]})
 @example(argv=["verify", "--which", "stable", *_VALID, "--n", "8", "--z-kind", "indicator_center"], config=None)
 @example(argv=["verify", "--which", "kernel-props", *_VALID, "--cases", "100"], config=None)
+# a value of the wrong JSON type where no flag overrides it: the generator draws these only by chance
+@example(argv=["verify", *_VALID, "--n", "8"], config={"which": ["ks"]})
+@example(argv=["sample", *_VALID[:6], "--n", "4"], config={"out": 2.5})
 # a weight the suite does not judge: the generator draws it for ks and mean only by chance
 @example(argv=["verify", "--which", "ks", *_VALID, "--n", "8", "--weight", "square"], config=None)
 @example(argv=["verify", "--which", "mean", *_VALID, "--n-list", "2", "4", "--weight", "cosine"], config=None)
@@ -102,7 +126,7 @@ def test_every_command_line_runs_fails_a_check_or_is_refused(argv, config):
         argv = [f"{tmp}/out" if tok == "OUT" else tok for tok in argv]
         if config is not None:
             with open(f"{tmp}/cfg.json", "w") as fh:
-                json.dump(config, fh)
+                json.dump({k: f"{tmp}/out" if v == "OUT" else v for k, v in config.items()}, fh)
             argv += ["--config", f"{tmp}/cfg.json"]
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

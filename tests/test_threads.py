@@ -129,6 +129,7 @@ def _modules_after(code):
 def test_cli_start_up_loads_no_queue_or_futures():
     loaded = _modules_after("import sheetqv.cli")
     assert "queue" not in loaded and "concurrent.futures" not in loaded
+    assert "csv" not in loaded  # the qv header is one f-string
 
 
 def test_monte_carlo_suite_loads_no_futures():
