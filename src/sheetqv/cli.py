@@ -2,11 +2,14 @@
 
 Commands: sigma | sample | qv | verify. Configuration comes from
 flags, optionally seeded from a JSON config file (flag values override file
-values; keys use the flag names). A value is checked the same way whichever
-of the two it came from. The seed is always explicit — there is no
-wall-clock default — so every run is reproducible. Exit codes: 0 success /
-all tests pass, 1 test failure, 2 usage or config error; a wrong type, an
-unknown choice or an out-of-range size exits 2 with a one-line reason.
+values; keys use the flag names). The option table checks a value's type
+and the sign that holds wherever its key is used, the same way whichever of
+the two it came from; every other limit belongs to the library function
+that takes the value, which raises ``InputError``. The seed is always
+explicit — there is no wall-clock default — so every run is reproducible.
+Exit codes: 0 success / all tests pass, 1 test failure, 2 usage or config
+error; every refusal, argparse's own included, exits 2 with one
+``error:`` line on stderr.
 
 JSON reports go to stdout (one object per line); human-readable progress
 lines go to stderr. All floats are serialized with 17 significant digits so
@@ -23,8 +26,8 @@ import sys
 import numpy as np
 
 from . import fieldsim, mcverify, qv as qvmod
-from .kernel import HurstPair
-from .sigma import CutoffError, RegimeError, sigma_series
+from .kernel import HurstPair, InputError
+from .sigma import CutoffError, sigma_series
 from .sigma import sigma, sigma_squared_partial  # noqa: F401  (perfbench.layers patches these names)
 
 EXIT_OK = 0
@@ -57,14 +60,6 @@ def _note(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
-class ConfigError(Exception):
-    pass
-
-
-def _is_integer(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_number(v) -> bool:
     # finite as a float: rejects nan, +-inf and integers too large to convert
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
@@ -84,7 +79,12 @@ def _one_of(*choices):
     return f"one of {', '.join(choices)}", lambda v: isinstance(v, str) and v in choices, {"metavar": metavar}
 
 
-_INTEGER = ("an integer", _is_integer, {"type": int})
+def _integer(least: int):
+    ok = lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least
+    return f"an integer >= {least}", ok, {"type": int}
+
+
+_COUNT = _integer(1)
 _NUMBER = ("a finite number", _is_number, {"type": float})
 
 # key: (what a value must be, its check, its flag's argparse keywords or None when
@@ -92,17 +92,17 @@ _NUMBER = ("a finite number", _is_number, {"type": float})
 _OPTIONS = {
     "alpha": _NUMBER,
     "beta": _NUMBER,
-    "seed": _INTEGER,
+    "seed": _integer(0),
     "tol": _NUMBER,
     "which": _one_of("mean", "var", "ks", "charfn", "stable", "kernel-props"),
-    "n": _INTEGER,
-    "n_list": ("a non-empty list of integers", _list_of(_is_integer), {"type": int, "nargs": "+"}),
-    "M": _INTEGER,
-    "cases": _INTEGER,
+    "n": _COUNT,
+    "n_list": ("a non-empty list of integers >= 1", _list_of(_COUNT[1]), {"type": int, "nargs": "+"}),
+    "M": _COUNT,
+    "cases": _COUNT,
     "method": _one_of("cholesky", "circulant"),
     "format": _one_of("csv", "bin"),
     "weight": _one_of(*qvmod.WEIGHTS),
-    "z_kind": _one_of("cos_corner", "indicator_center"),
+    "z_kind": _one_of(*mcverify.Z_KINDS),
     "out": ("a file path", lambda v: isinstance(v, str), {}),
     "points": ("a non-empty list of [s, t] points in the unit square", _list_of(_is_point), None),
     "lambda_grid": ("a non-empty list of finite numbers", _list_of(_is_number), None),
@@ -125,28 +125,25 @@ def _merge_config(args: argparse.Namespace) -> dict:
             try:
                 cfg = json.load(fh)
             except ValueError as e:  # malformed JSON or undecodable bytes
-                raise ConfigError(f"config file {args.config} is not valid JSON: {e}") from e
+                raise InputError(f"config file {args.config} is not valid JSON: {e}") from e
         if not isinstance(cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise InputError("config file must hold a JSON object")
     cfg.update((k, v) for k, v in vars(args).items() if k not in ("command", "config") and v is not None)
     for k, (kind, ok, _) in _OPTIONS.items():
         if k in cfg and not ok(cfg[k]):
-            raise ConfigError(f"option {k!r} must be {kind}, got {cfg[k]!r}")
+            raise InputError(f"option {k!r} must be {kind}, got {cfg[k]!r}")
     return cfg
 
 
 def _require(cfg: dict, *keys: str) -> None:
     missing = [k for k in keys if cfg.get(k) is None]
     if missing:
-        raise ConfigError(f"missing required option(s): {', '.join(missing)}")
+        raise InputError(f"missing required option(s): {', '.join(missing)}")
 
 
 def _hurst(cfg: dict) -> HurstPair:
     _require(cfg, "alpha", "beta")
-    try:
-        return HurstPair(float(cfg["alpha"]), float(cfg["beta"]))
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return HurstPair(float(cfg["alpha"]), float(cfg["beta"]))
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +151,7 @@ def _hurst(cfg: dict) -> HurstPair:
 
 
 def cmd_sigma(cfg: dict) -> int:
-    h = _hurst(cfg)
-    tol = float(cfg.get("tol", 1e-10))
-    if not tol > 0:
-        raise ConfigError(f"--tol must be a positive number, got {tol!r}")
-    try:
-        res = sigma_series(h, tol)
-    except RegimeError as e:
-        _note(f"regime error: {e}")
-        return EXIT_CONFIG
+    res = sigma_series(_hurst(cfg), float(cfg.get("tol", 1e-10)))
     _emit({
         "sigma": math.sqrt(res.value),
         "sigma_squared": res.value,
@@ -176,9 +165,8 @@ def _one_sample(cfg: dict):
     """Increments of replication 0, the sample that sample and qv write."""
     h = _hurst(cfg)
     _require(cfg, "n", "seed", "out")
-    n = _grid_size("--n", cfg["n"])
-    stream = fieldsim.replication_rng(_at_least("--seed", cfg["seed"], 0), 0, fieldsim.PURPOSE_SHEET)
-    return fieldsim.sample_increments(h, n, stream, method=cfg.get("method", "cholesky"))
+    stream = fieldsim.replication_rng(cfg["seed"], 0, fieldsim.PURPOSE_SHEET)
+    return fieldsim.sample_increments(h, cfg["n"], stream, method=cfg.get("method", "cholesky"))
 
 
 def cmd_sample(cfg: dict) -> int:
@@ -202,77 +190,50 @@ def cmd_qv(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _at_least(what: str, value, least: int) -> int:
-    value = int(value)
-    if value < least:
-        raise ConfigError(f"{what} must be at least {least}, got {value}")
-    return value
-
-
-def _grid_size(
-    what: str, value, least: int = 1, most: int = fieldsim._MAX_N, why: str = "dense-factor budget"
-) -> int:
-    """A grid size least <= n <= most; by default one the samplers can factor."""
-    n = _at_least(what, value, least)
-    if n > most:
-        raise ConfigError(f"{what} must be at most {most} ({why}), got {n}")
-    return n
-
-
 def cmd_verify(cfg: dict) -> int:
     _require(cfg, "which")
     which = cfg["which"]
     # ks compares with the variance of f == 1, and mean's rules are written for f = square
     own = {"ks": "constant_one", "mean": "square"}.get(which)
     if own is not None and cfg.get("weight", own) != own:
-        raise ConfigError(f"--which {which} judges the weight {own} only, got {cfg['weight']!r}")
+        raise InputError(f"--which {which} judges the weight {own} only, got {cfg['weight']!r}")
     h = _hurst(cfg)
     _require(cfg, "seed")
-    seed = _at_least("--seed", cfg["seed"], 0)
-    m_reps = int(cfg.get("M", 5000))
+    seed = cfg["seed"]
+    m_reps = cfg.get("M", 5000)
     monte_carlo = which not in ("mean", "kernel-props")
-    if monte_carlo:
-        # two replications for a standard error; the KS p-value is asymptotic
-        _at_least(f"--M for --which {which}", m_reps, 100 if which == "ks" else 2)
+    if monte_carlo and m_reps < 2:
+        # two replications for a standard error
+        raise InputError(f"--which {which} needs --M at least 2, got {m_reps}")
     reports: list[mcverify.VerifyReport] = []
 
     if which == "mean":
-        n_list = [
-            _grid_size("--n-list size", v, most=mcverify.MAX_MEAN_N, why="the exact mean sums n^2 terms")
-            for v in cfg.get("n_list", [8, 16, 32, 64, 128])
-        ]
-        if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-            raise ConfigError("--which mean needs at least 2 strictly increasing --n-list sizes")
+        n_list = cfg.get("n_list", [8, 16, 32, 64, 128])
         reports.append(mcverify.mean_decay(h, qvmod.weight("square"), (1.0, 1.0), n_list))
     elif which == "var":
-        n_list = [_grid_size("--n-list size", v) for v in cfg.get("n_list", [16, 64])]
-        if len(n_list) > 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-            raise ConfigError("--which var takes one --n-list size or two strictly increasing ones")
+        n_list = cfg.get("n_list", [16, 64])
+        if len(n_list) > 2:  # the draw size and at most one coarse size
+            raise InputError("--which var takes one --n-list size or two strictly increasing ones")
         coarse = n_list[0] if len(n_list) == 2 else None
         f = qvmod.weight(cfg.get("weight", "identity"))
         reports += mcverify.second_moment_limit(h, f, (1.0, 1.0), n_list[-1], m_reps, seed, coarse=coarse)
     elif which == "ks":
-        n = _grid_size("--n", cfg.get("n", 64))
-        reports += mcverify.ks_check(h, n, m_reps, seed)
+        reports += mcverify.ks_check(h, cfg.get("n", 64), m_reps, seed)
     elif which == "charfn":
-        n = _grid_size("--n (the check also runs at n // 2)", cfg.get("n", 64), 2)
+        n = cfg.get("n", 64)
         f = qvmod.weight(cfg.get("weight", "cosine"))
         points = [tuple(p) for p in cfg.get("points", [(0.5, 1.0), (1.0, 0.5)])]
         lam = mcverify.lambda_product_grid(len(points), cfg.get("lambda_grid", mcverify.DEFAULT_LAMBDAS))
-        bound = mcverify.MAX_CHARFN_LAMBDA
-        if np.abs(lam).max() > bound:
-            raise ConfigError(f"--which charfn needs lambda_grid values in [-{bound:g}, {bound:g}]")
         reports += mcverify.charfn_compare(h, f, points, lam, n, m_reps, seed, coarse=n // 2)
     elif which == "stable":
-        n = _grid_size("--n (the check also runs at n // 2)", cfg.get("n", 64), 2)
+        n = cfg.get("n", 64)
         f = qvmod.weight(cfg.get("weight", "identity"))
         lam = np.asarray(cfg.get("lambda_grid", mcverify.DEFAULT_LAMBDAS), dtype=float)
         z_kind = cfg.get("z_kind", "cos_corner")
         reports += mcverify.stable_convergence_check(
             h, f, (1.0, 1.0), z_kind, lam, n, m_reps, seed, coarse=n // 2)
     elif which == "kernel-props":
-        cases = _at_least("--cases", cfg.get("cases", 100_000), 1)
-        reports += mcverify.kernel_property_suite(cases, seed)
+        reports += mcverify.kernel_property_suite(cfg.get("cases", 100_000), seed)
     if monte_carlo and not h.admissible():
         # the limit theorem does not cover this run, so its pass supports nothing
         for r in reports:
@@ -298,8 +259,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line with one line, through main's error path, not a usage block."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="sheetqv", description=__doc__)
+    p = _Parser(prog="sheetqv", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     for command, (_, summary) in _COMMANDS.items():
         sp = sub.add_parser(command, help=summary)
@@ -310,15 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_CONFIG if e.code not in (0, None) else 0
-    try:
-        cfg = _merge_config(args)
-        return _COMMANDS[args.command][0](cfg)
-    except (ConfigError, OSError, RegimeError, CutoffError) as e:
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command][0](_merge_config(args))
+    except (InputError, OSError, CutoffError) as e:
         _note(f"error: {e}")
         return EXIT_CONFIG
     except MemoryError as e:  # sizes no machine holds are refused like any other bad input

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import HurstPair, rho_array
+from .kernel import HurstPair, InputError, rho_range
 
 PURPOSE_SHEET = 0
 
@@ -92,7 +92,7 @@ def increment_cov_1d(gamma: float, n: int) -> np.ndarray:
     Only the n values at lags 0..n-1 are evaluated. Row i of the Toeplitz
     matrix is the window starting at n-1-i of (r[n-1], ..., r[1], r[0], ..., r[n-1]).
     """
-    r = 0.5 * float(n) ** (-2.0 * gamma) * rho_array(gamma, np.arange(n))
+    r = 0.5 * float(n) ** (-2.0 * gamma) * rho_range(gamma, 0, n)
     return _window_rows(np.concatenate([r[:0:-1], r]), n, slice(None, None, -1))
 
 
@@ -103,16 +103,14 @@ def factor_1d(gamma: float, n: int, method: str = "cholesky") -> np.ndarray:
     m = 2n for circulant.
     """
     if not (0.0 < gamma < 1.0):
-        raise ValueError(f"gamma must lie in (0,1), got {gamma}")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > _MAX_N:
-        raise ValueError(f"n={n} exceeds the dense-factor budget ({_MAX_N})")
+        raise InputError(f"gamma must lie in (0,1), got {gamma}")
+    if not 1 <= n <= _MAX_N:
+        raise InputError(f"grid size n must be in 1 .. {_MAX_N} (the dense-factor budget), got {n}")
     if method == "cholesky":
         return np.linalg.cholesky(increment_cov_1d(gamma, n))
     if method == "circulant":
         # even extension of the stationary covariance to length 2n
-        r = 0.5 * float(n) ** (-2.0 * gamma) * rho_array(gamma, np.arange(n + 1))
+        r = 0.5 * float(n) ** (-2.0 * gamma) * rho_range(gamma, 0, n + 1)
         circ = np.concatenate([r, r[-2:0:-1]])
         lam = np.fft.fft(circ).real
         if lam.min() < -1e-10:
@@ -126,7 +124,7 @@ def factor_1d(gamma: float, n: int, method: str = "cholesky") -> np.ndarray:
         # F[i, j] = b[(j - i) mod 2n]: row i is the window of (b, b) starting at 2n - i
         m = 2 * n
         return _window_rows(np.concatenate([b, b]), m, slice(m, m - n, -1))
-    raise ValueError(f"unknown factorization method {method!r}")
+    raise InputError(f"unknown factorization method {method!r}")
 
 
 def standard_normals(seed: int, first: int, reps: int, purpose: int, shape: tuple) -> np.ndarray:

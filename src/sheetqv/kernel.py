@@ -26,10 +26,10 @@ bit for bit. ``np.power`` may instead dispatch to a SIMD kernel (numpy 2.4 on
 AVX-512 CPUs) that differs from libm in the last bit. ``rho_range``, which
 reads the contiguous lags lo..hi-1 from one ``np.power`` table of |x|^{2g}
 over lo-1..hi (exact 0 at x = 0), and the oracle of
-``mcverify.kernel_property_suite`` use it. ``rho_array`` gathers arbitrary
-lags from one ``rho_range`` call over min|c|..max|c|, so ρ has one array
-formula. perfbench/golden.json pins the outputs of both paths, so neither may
-replace the other where it is used.
+``mcverify.kernel_property_suite`` use it; every array of ρ in the package
+(the samplers' covariance rows, σ's series) is such a contiguous range, so
+ρ has one array formula. perfbench/golden.json pins the outputs of both
+paths, so neither may replace the other where it is used.
 """
 
 from __future__ import annotations
@@ -37,6 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+
+class InputError(ValueError):
+    """An argument a function refuses: the one refusal type, which the CLI
+    reports as one line and exit code 2."""
 
 
 def _failing(ok, *vals):
@@ -48,7 +53,7 @@ def _failing(ok, *vals):
 def _check_hurst(name: str, v) -> None:
     ok = (0.0 < v) & (v < 1.0)
     if not np.all(ok):
-        raise ValueError(f"{name} must lie in (0,1), got {_failing(ok, v)[0]}")
+        raise InputError(f"{name} must lie in (0,1), got {_failing(ok, v)[0]}")
 
 
 def _check_point(p) -> None:
@@ -161,17 +166,6 @@ def rho_range(gamma: float, lo: int, hi: int, out=None) -> np.ndarray:
     np.add(p[2:], p[:-2], out=r)
     p[1:-1] *= 2.0
     return np.subtract(r, p[1:-1], out=r)
-
-
-def rho_array(gamma: float, c: np.ndarray) -> np.ndarray:
-    """``rho`` at an array of integer lags: a gather from ``rho_range``
-    over min|c| .. max|c|, so each distinct lag costs one ``pow``.
-    """
-    a = np.abs(np.asarray(c, dtype=np.int64))
-    if a.size == 0:
-        return np.zeros(a.shape)
-    lo = int(a.min())
-    return rho_range(gamma, lo, int(a.max()) + 1)[a - lo]
 
 
 def _check_index(n: int, *idx: int) -> None:

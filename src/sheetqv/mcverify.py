@@ -23,7 +23,7 @@ import numpy as np
 from ._threads import alongside
 from .fieldsim import PURPOSE_SHEET, factor_1d, prefix_nodes, standard_normals
 from .fieldsim import replication_rng  # noqa: F401  (perfbench.layers patches this name)
-from .kernel import HurstPair, rho
+from .kernel import HurstPair, InputError, rho
 from .qv import WeightFunction, summands, weight
 from .quadrature import gauss_legendre_2d
 from .sigma import sigma as sigma_of
@@ -104,7 +104,7 @@ def _corner_inner_1d(gamma: float, count: int, n: int) -> np.ndarray:
 
 # Terms exact_mean forms at once: 512 KiB per array.
 _MEAN_LEAF = 1 << 16
-# Largest n the CLI asks the exact mean for. Its time is O(n^2): the 4.3e9
+# Largest n mean_decay takes. The exact mean's time is O(n^2): the 4.3e9
 # terms at 2^16 took 8 s for f = square on one x86-64 core.
 MAX_MEAN_N = 1 << 16
 
@@ -172,7 +172,11 @@ def mean_decay(
     criterion 5 checks the rate instead, by bracketing that normalized mean.
     """
     if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly increasing with >= 2 values")
+        raise InputError("n_list must be strictly increasing with >= 2 values")
+    if n_list[0] < 1 or n_list[-1] > MAX_MEAN_N:
+        raise InputError(
+            f"n_list sizes must be in 1 .. {MAX_MEAN_N} (the exact mean sums n^2 terms), got {n_list}"
+        )
     means = np.array([exact_mean(h, f, n, t) for n in n_list])
     expo = 1.0 - 2.0 * (h.alpha + h.beta)
     ns = np.array(n_list, dtype=float)
@@ -351,7 +355,7 @@ def _grid_pass(h, n, seed, M, grid, rep_offset=0, coarse=None):
     Returns a dict from each grid size to its outputs.
     """
     if coarse is not None and not 1 <= coarse < n:
-        raise ValueError(f"coarse grid size must be in 1 .. {n - 1} for n={n}, got {coarse}")
+        raise InputError(f"coarse grid size must satisfy 1 <= coarse < n={n}, got {coarse}")
     out, work = grid(n)
     outs = {n: out}
     pair = None
@@ -606,7 +610,7 @@ def charfn_compare(
     if lam.ndim == 1:
         lam = lam[:, None]
     if np.abs(lam).max() > MAX_CHARFN_LAMBDA:
-        raise ValueError(f"lambda grid must satisfy |lambda| <= {MAX_CHARFN_LAMBDA:g} per coordinate")
+        raise InputError(f"lambda grid must satisfy |lambda| <= {MAX_CHARFN_LAMBDA:g} per coordinate")
     sigma_val = sigma_of(h, 1e-10)
 
     samples = qv_point_samples(h, f, n, M, seed, points, coarse=coarse)
@@ -628,6 +632,13 @@ def charfn_compare(
     )
 
 
+# the bounded sheet functionals Z of stable_convergence_check, by name
+Z_KINDS = {
+    "cos_corner": lambda nodes: np.cos(nodes[:, -1, -1]),
+    "indicator_center": lambda nodes: (nodes[:, nodes.shape[1] // 2, nodes.shape[2] // 2] > 0).astype(float),
+}
+
+
 def stable_convergence_check(
     h: HurstPair,
     f: WeightFunction,
@@ -646,15 +657,11 @@ def stable_convergence_check(
     samples. At lam = 0 both sides estimate E[Z]. Pass rule as in
     charfn_compare; ``coarse`` and the records as in second_moment_limit.
     """
+    if z_kind not in Z_KINDS:
+        raise InputError(f"unknown Z kind {z_kind!r}")
+    functional = Z_KINDS[z_kind]
     lam = np.asarray(lambdas, dtype=float).ravel()
     sigma_val = sigma_of(h, 1e-10)
-
-    if z_kind == "cos_corner":
-        functional = lambda nodes: np.cos(nodes[:, -1, -1])
-    elif z_kind == "indicator_center":
-        functional = lambda nodes: (nodes[:, nodes.shape[1] // 2, nodes.shape[2] // 2] > 0).astype(float)
-    else:
-        raise ValueError(f"unknown Z kind {z_kind!r}")
 
     samples = qv_point_samples(h, f, n, M, seed, [t], sheet_functional=functional, coarse=coarse)
     left = _means_and_ses(
@@ -790,6 +797,8 @@ def kernel_property_suite(cases: int, seed: int) -> list[VerifyReport]:
     The oracle checks' cases are drawn and checked first, then the bound
     check's, so one check's drawn cases are held at a time.
     """
+    if cases < 1:
+        raise InputError(f"the kernel suite needs at least 1 case, got {cases}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 3)))
     worst_incr, worst_delta = map(float, _worst_oracle_gaps(rng, cases))
     violations = _rect_bound_violations(rng, cases)
@@ -840,14 +849,19 @@ def kolmogorov_sf(x: float) -> float:
     return min(max(2.0 * total, 0.0), 1.0)
 
 
+def _ks_sample_size(m: int) -> None:
+    # the p-value is asymptotic
+    if m < 100:
+        raise InputError(f"the KS test needs at least 100 samples, got {m}")
+
+
 def ks_normality(samples, mean: float, sd: float) -> tuple[float, float]:
     """One-sample KS statistic against N(mean, sd^2) with asymptotic p-value."""
     if sd <= 0.0:
-        raise ValueError("sd must be positive")
+        raise InputError("sd must be positive")
     x = np.sort(np.asarray(samples, dtype=float))
     m = len(x)
-    if m < 100:
-        raise ValueError("need at least 100 samples")
+    _ks_sample_size(m)
     cdf = _std_normal_cdf((x - mean) / sd)
     i = np.arange(1, m + 1)
     d = max(np.max(i / m - cdf), np.max(cdf - (i - 1) / m))
@@ -858,8 +872,10 @@ def ks_check(h: HurstPair, n: int, M: int, seed: int) -> list[VerifyReport]:
     """KS test of the f == 1 statistic at (1, 1) against N(0, its exact finite-n variance).
 
     f == 1 is the only weight whose variance exact_qv_variance gives, so the
-    check takes no weight. Passes if the asymptotic p-value exceeds 1e-3; needs M >= 100.
+    check takes no weight. Passes if the asymptotic p-value exceeds 1e-3; needs M >= 100,
+    which is checked before any draw.
     """
+    _ks_sample_size(M)
     xs, _ = qv_point_samples(h, weight("constant_one"), n, M, seed, [(1.0, 1.0)])[n]
     var = exact_qv_variance(h, n)
     stat, p = ks_normality(xs[:, 0], 0.0, np.sqrt(var))

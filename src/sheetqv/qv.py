@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .fieldsim import IncrementField, prefix_nodes, write_csv_rows
-from .kernel import HurstPair
+from .kernel import HurstPair, InputError
 from .quadrature import gauss_hermite_mean  # noqa: F401  (perfbench.layers patches this name)
 
 
@@ -66,7 +66,7 @@ WEIGHTS = {w.kind: w for w in (
 def weight(kind: str) -> WeightFunction:
     """A built-in weight function by name."""
     if kind not in WEIGHTS:
-        raise ValueError(f"unknown weight kind {kind!r}")
+        raise InputError(f"unknown weight kind {kind!r}")
     return WEIGHTS[kind]
 
 

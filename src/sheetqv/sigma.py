@@ -21,14 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._threads import alongside
-from .kernel import HurstPair, rho_range
+from .kernel import HurstPair, InputError, rho_range
 
 _CUTOFF_CAP = 10**8
 _BLOCK = 1 << 16  # lags per block of series terms: memory is O(block) at any cutoff
 _SPAN = 8  # binary exponents a block may span and still sum exactly in int64
 
 
-class RegimeError(ValueError):
+class RegimeError(InputError):
     """Raised when (alpha, beta) is outside the series-convergence regime."""
 
 
@@ -51,7 +51,7 @@ class SeriesResult:
 def _check_regime(h: HurstPair) -> None:
     if not h.series_convergent():
         raise RegimeError(
-            f"series for sigma diverges unless alpha, beta < 3/4; "
+            f"outside the series regime: sigma diverges unless alpha, beta < 3/4; "
             f"got alpha={h.alpha}, beta={h.beta}"
         )
 
@@ -220,8 +220,8 @@ def sigma_series(h: HurstPair, tol: float) -> SeriesResult:
     only the lags past the previous cutoff, on two threads where they fill
     two blocks or more; ``fsum`` makes it the float a sum from lag 1 gives.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:  # also refuses nan
+        raise InputError(f"tol must be positive, got {tol!r}")
     _check_regime(h)
     carry = _Carry()
     cutoff = 4

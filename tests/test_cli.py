@@ -1,6 +1,7 @@
 """Command-line front end: outputs, exit codes, config merging, determinism."""
 
 import argparse
+import ast
 import importlib
 import json
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import sheetqv
-from sheetqv import fieldsim
+from sheetqv import cli, fieldsim
 from sheetqv.cli import EXIT_CONFIG, EXIT_OK, EXIT_TEST_FAILURE, build_parser, main
 from sheetqv.fieldsim import read_field
 from sheetqv.kernel import HurstPair
@@ -376,6 +377,11 @@ def test_verify_suite_own_weight_changes_nothing(capsys, argv, own):
     ["sigma", "--tol", "inf"],
     ["sample", "--n", "8", "--seed", "1", "--method", "fft"],
     ["verify", "--which", "nope", "--seed", "1"],
+    # text argparse cannot convert, a value it takes for a flag, and an unknown command: one line too
+    ["sample", "--n", "2.5", "--seed", "1"],
+    ["verify", "--which", "var", "--M", "x", "--seed", "1"],
+    ["sigma", "--tol", "-inf"],
+    ["frobnicate"],
 ])
 def test_commands_reject_unusable_input(capsys, tmp_path, argv):
     out = tmp_path / "out.csv"
@@ -433,6 +439,10 @@ HURST = '"alpha": 0.35, "beta": 0.35'
     (["sample", *H_FLAGS, "--n", "4", "--seed", "1"], '{"format": ["csv"]}'),
     (["verify", "--which", "var", *H_FLAGS, "--M", "2", "--seed", "1"], '{"n_list": [4], "weight": {}}'),
     (["verify", "--which", "stable", *SMALL_MC], '{%s, "z_kind": 1}' % HURST),
+    # a sign that holds wherever the key is used is checked for a command that ignores the key too
+    (["sigma", *H_FLAGS], '{"n": 0}'),
+    (["sigma", *H_FLAGS], '{"seed": -1}'),
+    (["verify", "--which", "kernel-props", *H_FLAGS, "--seed", "1", "--cases", "1"], '{"M": 0}'),
 ], ids=[
     "malformed-json", "tol-string", "n-float", "n-bool", "seed-string", "n_list-scalar",
     "n_list-float", "n_list-empty", "n_list-three-sizes", "alpha-list", "beta-string", "alpha-huge-int",
@@ -441,6 +451,7 @@ HURST = '"alpha": 0.35, "beta": 0.35'
     "z_kind-unknown", "n_list-above-mean-bound", "n_list-decreasing", "n_list-equal-sizes",
     "weight-ks-not-constant_one", "weight-mean-not-square",
     "which-list", "format-list", "weight-object", "z_kind-number",
+    "n-zero-unused", "seed-negative-unused", "M-zero-unused",
 ])
 def test_config_rejects_unusable_values(capsys, tmp_path, command, content):
     cfg = tmp_path / "cfg.json"
@@ -489,6 +500,24 @@ def test_each_command_keeps_its_flags_and_lists_their_choices():
         text = parser.format_help()
         for flag in FLAGS[command] & set(CHOICES):
             assert f"{flag} {CHOICES[flag]}" in text, (command, flag)
+
+
+def test_cli_keeps_no_private_copy_of_a_library_limit():
+    # a limit read from a library module's private name, or enforced with an exception class
+    # of the CLI's own, would be a second copy of a rule the library function owns
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    modules = {a.asname or a.name for node in imports if node.module is None for a in node.names}
+    private = [
+        f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and node.attr.startswith("_")
+    ]
+    private += [f"{node.module}.{a.name}" for node in imports for a in node.names if a.name.startswith("_")]
+    assert modules >= {"fieldsim", "mcverify"} and private == []
+    own = [name for name, v in vars(cli).items()
+           if isinstance(v, type) and issubclass(v, BaseException) and v.__module__ == cli.__name__]
+    assert own == []
 
 
 def test_sigma_cutoff_cap_exits_config_error(capsys, monkeypatch):

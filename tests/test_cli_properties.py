@@ -1,13 +1,15 @@
 """Property test of the exit-code contract over generated command lines.
 
 Every argv either runs (exit 0), reports a failed check (exit 1, exactly
-when some printed record has ``pass: false``), or is refused (exit 2). An
-uncaught exception, which the console script would turn into exit 1,
-fails the test with its traceback.
+when some printed record has ``pass: false``), or is refused (exit 2) with
+exactly one stderr line, no record and no output file. An uncaught
+exception, which the console script would turn into exit 1, fails the test
+with its traceback.
 
 The flag values are drawn from lists that cover each branch: admissible,
 inadmissible, boundary and invalid Hurst indices; grid sizes up to 16 and
-above the sampler cap; replication counts up to 200; unknown names. Their
+above the sampler cap; replication counts up to 200; unknown names; text
+that argparse cannot convert for the integer and number flags. Their
 σ series stop by cutoff 4·10⁶ or are refused at once, so each example is
 cheap (a σ tolerance such as 1e-6 at β = 0.6 walks 10⁸ terms for seconds).
 A config file may set any key too, with values of the wrong JSON type among
@@ -17,6 +19,8 @@ its draws.
 import contextlib
 import io
 import json
+import math
+import os
 import tempfile
 
 from hypothesis import example, given, settings, strategies as st
@@ -26,16 +30,16 @@ from sheetqv.cli import EXIT_CONFIG, EXIT_OK, EXIT_TEST_FAILURE, main
 # (valid values, invalid values) per flag; an invalid value is drawn one time in twenty
 HURST = (["0.35", "0.4", "0.3", "0.45", "0.2", "0.25", "0.5", "0.6", "0.75", "0.9"],
          ["0", "1", "-0.1", "nan", "inf", "x"])
-TOLS = (["1e-10", "1e-3", "inf"], ["1e-300", "0", "-1", "nan"])
-SIZES = (["1", "2", "3", "4", "8", "16"], ["0", "-1", "5000"])
-REPS = (["2", "50", "100", "200"], ["1", "0", "-1"])
-SEEDS = (["0", "1", "7"], ["-1"])
+TOLS = (["1e-10", "1e-3", "inf"], ["1e-300", "0", "-1", "nan", "x"])
+SIZES = (["1", "2", "3", "4", "8", "16"], ["0", "-1", "5000", "2.5", "x"])
+REPS = (["2", "50", "100", "200"], ["1", "0", "-1", "2.5", "x"])
+SEEDS = (["0", "1", "7"], ["-1", "2.5", "x"])
 WEIGHTS = (["constant_one", "identity", "square", "cosine"], ["user_table", "nope"])
 METHODS = (["cholesky", "circulant"], ["fft"])
 FORMATS = (["csv", "bin"], ["txt"])
 SUITES = (["mean", "var", "ks", "charfn", "stable", "kernel-props"], ["nope"])
 Z_KINDS = (["cos_corner", "indicator_center"], ["nope"])
-CASES = (["1", "100"], ["0"])
+CASES = (["1", "100"], ["0", "2.5", "x"])
 OUT = (["OUT"], [])  # replaced by a path in a fresh directory
 
 # Every key can come from the config file too, where a value can also have the wrong JSON type.
@@ -86,8 +90,13 @@ _HURST_FLAGS = [_flag("--alpha", HURST), _flag("--beta", HURST)]
 _SAMPLE_FLAGS = [*_HURST_FLAGS, _flag("--seed", SEEDS), _flag("--n", SIZES), _flag("--method", METHODS),
                  _flag("--out", OUT)]
 # verify always gets its grid sizes and replication count: the defaults (n = 64, M = 5000) cost seconds
+def _order(tok):
+    # a size's numeric order; text that is no number goes last
+    return float(tok) if tok.lstrip("-").replace(".", "", 1).isdigit() else math.inf
+
+
 _N_LIST = st.lists(_value(SIZES), min_size=1, max_size=3, unique=True).map(
-    lambda v: ["--n-list", *sorted(v, key=int)])
+    lambda v: ["--n-list", *sorted(v, key=_order)])
 
 COMMANDS = st.one_of(
     _flags("sigma", *_HURST_FLAGS, _flag("--tol", TOLS)),
@@ -128,10 +137,13 @@ def test_every_command_line_runs_fails_a_check_or_is_refused(argv, config):
             with open(f"{tmp}/cfg.json", "w") as fh:
                 json.dump({k: f"{tmp}/out" if v == "OUT" else v for k, v in config.items()}, fh)
             argv += ["--config", f"{tmp}/cfg.json"]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+        wrote = os.path.exists(f"{tmp}/out")
     assert code in (EXIT_OK, EXIT_TEST_FAILURE, EXIT_CONFIG)
     records = [json.loads(line) for line in out.getvalue().splitlines()]
     failed = any(r.get("pass") is False for r in records)
     assert (code == EXIT_TEST_FAILURE) == failed, (argv, config, code)
+    if code == EXIT_CONFIG:
+        assert (len(err.getvalue().splitlines()), records, wrote) == (1, [], False), (argv, config, err.getvalue())

@@ -27,7 +27,7 @@ from sheetqv.fieldsim import (
     standard_normals,
     write_field,
 )
-from sheetqv.kernel import HurstPair, cov_point, incr_cov, rho_array
+from sheetqv.kernel import HurstPair, cov_point, incr_cov, rho_range
 from sheetqv.mcverify import _node_chunks
 
 H = HurstPair(0.35, 0.4)
@@ -78,14 +78,14 @@ def test_factor_reconstructs_covariance(method, gamma):
 
 
 def _lag_matrix_cov_1d(gamma, n):
-    """Reference: rho_array over the full n x n matrix of lags."""
+    """Reference: rho gathered over the full n x n matrix of lags."""
     lags = np.subtract.outer(np.arange(n), np.arange(n))
-    return 0.5 * float(n) ** (-2.0 * gamma) * rho_array(gamma, lags)
+    return 0.5 * float(n) ** (-2.0 * gamma) * rho_range(gamma, 0, n)[np.abs(lags)]
 
 
 def _index_gather_circulant_factor(gamma, n):
     """Reference: the circulant factor gathered as b[(j - i) mod 2n] by an (n, 2n) index."""
-    r = 0.5 * float(n) ** (-2.0 * gamma) * rho_array(gamma, np.arange(n + 1))
+    r = 0.5 * float(n) ** (-2.0 * gamma) * rho_range(gamma, 0, n + 1)
     lam = np.clip(np.fft.fft(np.concatenate([r, r[-2:0:-1]])).real, 0.0, None)
     b = np.fft.ifft(np.sqrt(lam)).real
     m = 2 * n

@@ -12,7 +12,6 @@ from sheetqv.kernel import (
     k_gamma,
     point_rect_cov,
     rho,
-    rho_array,
     rho_range,
 )
 
@@ -139,8 +138,8 @@ def test_rho_explicit_value():
     assert rho(0.3, 5) < 0
 
 
-def rho_array_masked(gamma, c):
-    """The former rho_array, one masked array pow per term: the bit oracle."""
+def rho_masked(gamma, c):
+    """rho at an array of lags, one masked array pow per term: the bit oracle."""
     a = np.abs(c).astype(float)
 
     def p(x):
@@ -152,28 +151,25 @@ def rho_array_masked(gamma, c):
     return p(a + 1) + p(np.abs(a - 1)) - 2.0 * p(a)
 
 
-def _lag_sets():
-    yield np.arange(-5, 6)  # holds 0 and +-1
-    yield np.array([1, 0, -1, 7, -7, 1])
-    yield np.arange(1, 2)
-    yield np.arange(3_999_990, 4_000_001)  # a block far from 0
-    yield -np.arange(10**8 - 70_000, 10**8)
+def _lag_ranges():
+    yield 0, 6  # holds 0 and 1
+    yield 1, 2
+    yield 3_999_990, 4_000_001  # a block far from 0
+    yield 10**8 - 70_000 + 1, 10**8 + 1
     for n in (1, 2, 64, 2048):
-        yield np.subtract.outer(np.arange(n), np.arange(n))
+        yield 0, n  # the lags of the n x n covariance
+        yield 0, n + 1  # and of its circulant embedding
+    for lo in (0, 1, 2, 4_000_000):
+        for size in (0, 1, 2, 3, 1000):
+            yield lo, lo + size
 
 
 @pytest.mark.parametrize("gamma", [0.05, 0.3, 0.35, 0.45, 0.5, 0.74])
-def test_rho_array_is_bit_identical_to_masked_pow(gamma):
-    for c in _lag_sets():
-        got = rho_array(gamma, c)
-        assert got.shape == c.shape
-        np.testing.assert_array_equal(got, rho_array_masked(gamma, c))
-    assert rho_array(gamma, np.arange(0)).shape == (0,)
-    for lo in (0, 1, 2, 4_000_000):
-        for size in (0, 1, 2, 3, 1000):
-            got = rho_range(gamma, lo, lo + size)
-            assert got.shape == (size,)
-            np.testing.assert_array_equal(got, rho_array_masked(gamma, np.arange(lo, lo + size)))
+def test_rho_range_is_bit_identical_to_masked_pow(gamma):
+    for lo, hi in _lag_ranges():
+        got = rho_range(gamma, lo, hi)
+        assert got.shape == (hi - lo,)
+        np.testing.assert_array_equal(got, rho_masked(gamma, np.arange(lo, hi)))
 
 
 # --- incr_cov -------------------------------------------------------------------

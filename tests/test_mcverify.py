@@ -20,7 +20,7 @@ from sheetqv.fieldsim import (
     replication_rng,
     sample_increments,
 )
-from sheetqv.kernel import HurstPair
+from sheetqv.kernel import HurstPair, InputError
 from sheetqv.mcverify import (
     DEFAULT_LAMBDAS,
     _chunk_reps,
@@ -729,6 +729,16 @@ def test_kernel_property_suite_deterministic():
     a = kernel_property_suite(500, seed=67)
     b = kernel_property_suite(500, seed=67)
     assert [r.estimate for r in a] == [r.estimate for r in b]
+
+
+@pytest.mark.parametrize("cases", [0, -1])
+def test_kernel_property_suite_refuses_no_cases_before_drawing(monkeypatch, cases):
+    def no_draws(*args):
+        raise AssertionError("cases were drawn")
+
+    monkeypatch.setattr(mcverify, "_random_admissible_arrays", no_draws)
+    with pytest.raises(InputError, match="at least 1 case"):
+        kernel_property_suite(cases, seed=1)
 
 
 def _kernel_property_suite_whole(cases, seed):

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sheetqv.kernel import HurstPair, rho_array
+from sheetqv.kernel import HurstPair, InputError, rho_range
 from sheetqv.sigma import (
     _BLOCK,
     CutoffError,
@@ -100,6 +100,10 @@ def test_input_validation():
         sigma(h, 0.0)
     with pytest.raises(ValueError):
         sigma_squared_partial(h, -1)
+    # nan compares false with everything: it must not pass as a tolerance that cutoff 4 meets
+    with pytest.raises(InputError, match="tol must be positive"):
+        sigma_series(h, float("nan"))
+    assert issubclass(RegimeError, InputError)
 
 
 def test_sigma_tolerance_is_honored():
@@ -124,7 +128,7 @@ def test_tail_bound_survives_tails_below_an_ulp_of_the_axis_sums(monkeypatch):
 
 def _axis_sum_sq_one_list(gamma, cutoff):
     """The axis sum with every term in one list: the streamed sum's oracle."""
-    terms = rho_array(gamma, np.arange(1, cutoff + 1)) ** 2
+    terms = rho_range(gamma, 1, cutoff + 1) ** 2
     return 4.0 + 2.0 * math.fsum(terms.tolist())
 
 
