@@ -25,7 +25,7 @@ from .kernel import (
     point_rect_cov,
     rho,
 )
-from .qv import QVProcess, WeightFunction, eval_qv, qv_process, weight
+from .qv import QVProcess, WeightFunction, qv_process, weight
 from .sigma import RegimeError, SeriesResult, sigma, sigma_series, sigma_squared_partial
 
 __all__ = [
@@ -36,5 +36,5 @@ __all__ = [
     "IncrementField", "GridField", "factor_1d",
     "sample_increments", "field_from_increments",
     "replication_rng",
-    "WeightFunction", "QVProcess", "weight", "qv_process", "eval_qv",
+    "WeightFunction", "QVProcess", "weight", "qv_process",
 ]

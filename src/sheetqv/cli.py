@@ -205,6 +205,9 @@ def cmd_verify(cfg: dict) -> int:
     if monte_carlo and m_reps < 2:
         # two replications for a standard error
         raise InputError(f"--which {which} needs --M at least 2, got {m_reps}")
+    n = cfg.get("n", 64)
+    if which in ("charfn", "stable") and n < 2:
+        raise InputError(f"--which {which} needs --n at least 2, since it also runs at n // 2, got {n}")
     reports: list[mcverify.VerifyReport] = []
 
     if which == "mean":
@@ -218,15 +221,13 @@ def cmd_verify(cfg: dict) -> int:
         f = qvmod.weight(cfg.get("weight", "identity"))
         reports += mcverify.second_moment_limit(h, f, (1.0, 1.0), n_list[-1], m_reps, seed, coarse=coarse)
     elif which == "ks":
-        reports += mcverify.ks_check(h, cfg.get("n", 64), m_reps, seed)
+        reports += mcverify.ks_check(h, n, m_reps, seed)
     elif which == "charfn":
-        n = cfg.get("n", 64)
         f = qvmod.weight(cfg.get("weight", "cosine"))
         points = [tuple(p) for p in cfg.get("points", [(0.5, 1.0), (1.0, 0.5)])]
         lam = mcverify.lambda_product_grid(len(points), cfg.get("lambda_grid", mcverify.DEFAULT_LAMBDAS))
         reports += mcverify.charfn_compare(h, f, points, lam, n, m_reps, seed, coarse=n // 2)
     elif which == "stable":
-        n = cfg.get("n", 64)
         f = qvmod.weight(cfg.get("weight", "identity"))
         lam = np.asarray(cfg.get("lambda_grid", mcverify.DEFAULT_LAMBDAS), dtype=float)
         z_kind = cfg.get("z_kind", "cos_corner")

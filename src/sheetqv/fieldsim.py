@@ -96,6 +96,12 @@ def increment_cov_1d(gamma: float, n: int) -> np.ndarray:
     return _window_rows(np.concatenate([r[:0:-1], r]), n, slice(None, None, -1))
 
 
+def check_grid_size(n: int) -> None:
+    """Refuse a grid size the dense factors cannot hold, before anything is built."""
+    if not 1 <= n <= _MAX_N:
+        raise InputError(f"grid size n must be in 1 .. {_MAX_N} (the dense-factor budget), got {n}")
+
+
 def factor_1d(gamma: float, n: int, method: str = "cholesky") -> np.ndarray:
     """Square-root operator F of M^gamma by Cholesky or circulant embedding.
 
@@ -104,8 +110,7 @@ def factor_1d(gamma: float, n: int, method: str = "cholesky") -> np.ndarray:
     """
     if not (0.0 < gamma < 1.0):
         raise InputError(f"gamma must lie in (0,1), got {gamma}")
-    if not 1 <= n <= _MAX_N:
-        raise InputError(f"grid size n must be in 1 .. {_MAX_N} (the dense-factor budget), got {n}")
+    check_grid_size(n)
     if method == "cholesky":
         return np.linalg.cholesky(increment_cov_1d(gamma, n))
     if method == "circulant":

@@ -7,9 +7,8 @@ statements have no rate attached, so a limit check draws at grid size n and
 may also judge a ``coarse`` size 1 <= coarse < n from the same draws. It
 then returns records at coarse and at n, judged by ``_records``: the record
 at n must shrink toward the reference and meet the 4-sigma rule with the
-coarse gap as "slack" (the second moment: a relative gap of 0.15).
-``_q_quadform_samples`` samples the reference side of the stable and
-characteristic-function checks.
+coarse gap as "slack" (the second moment: a relative gap of 0.15). Samples
+are ``_grid_pass`` corner sums, drawn only once the sizes and sigma pass.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ._threads import alongside
-from .fieldsim import PURPOSE_SHEET, factor_1d, prefix_nodes, standard_normals
+from .fieldsim import PURPOSE_SHEET, check_grid_size, factor_1d, prefix_nodes, standard_normals
 from .fieldsim import replication_rng  # noqa: F401  (perfbench.layers patches this name)
 from .kernel import HurstPair, InputError, rho
 from .qv import WeightFunction, summands, weight
@@ -347,21 +346,40 @@ def _corner_sums(a: np.ndarray, idx) -> np.ndarray:
     return out
 
 
-def _grid_pass(h, n, seed, M, grid, rep_offset=0, coarse=None):
-    """Run the work of ``grid(size) -> (outputs, work)`` at n, and at ``coarse`` if given, in one pass.
-
-    The draws are made once, at n (see _node_chunks), so ``coarse`` must be
-    in 1 .. n-1; any other size raises ValueError before a stream is drawn.
-    Returns a dict from each grid size to its outputs.
-    """
+def _check_sizes(n: int, coarse: int | None) -> None:
+    """Refuse a draw size the samplers cannot hold, or a ``coarse`` size outside 1 .. n-1."""
+    check_grid_size(n)
     if coarse is not None and not 1 <= coarse < n:
         raise InputError(f"coarse grid size must satisfy 1 <= coarse < n={n}, got {coarse}")
-    out, work = grid(n)
-    outs = {n: out}
-    pair = None
-    if coarse is not None:
-        outs[coarse], coarse_work = grid(coarse)
-        pair = (coarse, coarse_work)
+
+
+def _grid_pass(h, n, seed, M, points, cells, functional=None, rep_offset=0, coarse=None):
+    """Corner sums of ``cells(inc, nodes)`` below ``points``, at n and at ``coarse`` if given, in one pass.
+
+    Returns a dict from each grid size g to its (sums, Z): the (M, len(points))
+    sums of the cells below each point's corner on grid g, and
+    ``functional(nodes)`` of each sheet (M,) or None. Both run per chunk on
+    either thread (see _node_chunks), so they must touch no state shared with
+    the caller. No stream is drawn before the sizes are checked.
+    """
+    _check_sizes(n, coarse)
+    outs = {}
+
+    def work_at(g):
+        # grid g's outputs, and the work that fills a chunk's rows of them
+        idx = _point_indices(g, points)
+        sums, zs = np.empty((M, len(idx))), None if functional is None else np.empty(M)
+        outs[g] = sums, zs
+
+        def work(inc, nodes, rows):
+            sums[rows] = _corner_sums(cells(inc, nodes), idx)
+            if zs is not None:
+                zs[rows] = functional(nodes)
+
+        return work
+
+    work = work_at(n)
+    pair = None if coarse is None else (coarse, work_at(coarse))
     _node_chunks(h, n, seed, M, work, rep_offset=rep_offset, coarse=pair)
     return outs
 
@@ -378,28 +396,15 @@ def qv_point_samples(
 ):
     """Monte Carlo samples of the statistic at the given time points.
 
-    Returns a dict from each grid size to its (X, Z): n's, and with a
-    ``coarse`` size 1 <= coarse < n also that grid's, sampled from the same
-    draws. X has shape (M, m). Z collects per-replication sheet functionals
-    when ``sheet_functional`` (nodes -> (size,) array) is given, else None.
-    ``sheet_functional`` runs one chunk of replications at a time, on the
-    calling thread or on a worker thread, so it must not touch state shared
-    with the caller.
+    Returns _grid_pass's dict from each grid size (n, and ``coarse`` if given)
+    to its (X, Z): X (M, len(points)) holds the corner sums of the summands
+    over the grid size, and Z ``sheet_functional(nodes)`` of each sheet, or None.
     """
-
-    def grid(g):
-        idx = _point_indices(g, points)
-        xs = np.empty((M, len(points)))
-        zs = np.empty(M) if sheet_functional is not None else None
-
-        def work(inc, nodes, rows):
-            xs[rows] = _corner_sums(summands(h, nodes, inc, f), idx) / g
-            if zs is not None:
-                zs[rows] = sheet_functional(nodes)
-
-        return (xs, zs), work
-
-    return _grid_pass(h, n, seed, M, grid, coarse=coarse)
+    cells = lambda inc, nodes: summands(h, nodes, inc, f)
+    outs = _grid_pass(h, n, seed, M, points, cells, sheet_functional, coarse=coarse)
+    for g, (xs, _) in outs.items():
+        xs /= g
+    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +454,9 @@ def second_moment_limit(
     the record at n of two instead carries ``relative_gap`` and passes if
     that is at most 0.15 and the gap shrinks.
     """
-    samples = qv_point_samples(h, f, n, M, seed, [t], coarse=coarse)
+    _check_sizes(n, coarse)
     sig2 = sigma_of(h, 1e-10) ** 2
+    samples = qv_point_samples(h, f, n, M, seed, [t], coarse=coarse)
 
     def integrand(u, v):
         var = u ** (2.0 * h.alpha) * v ** (2.0 * h.beta)
@@ -495,24 +501,12 @@ def _q_quadform_samples(h, f, n, M, seed, points, functional=None, coarse=None):
     ordered pair of the P points in row-major order, the unscaled sum of f^2
     at the lower-left nodes of the cells below both points, those of the
     corner (min i, min j); times sigma^2 / g^2 it is the Riemann sum of the
-    conditional covariance Q. Z holds ``functional(nodes)`` of each sheet, or is None without a
-    functional, which runs as ``sheet_functional`` does in qv_point_samples.
+    conditional covariance Q. Z is as in _grid_pass.
     """
-
-    def grid(g):
-        idx = _point_indices(g, points)
-        idx = np.minimum(idx[:, None, :], idx[None, :, :]).reshape(-1, 2)
-        sums = np.empty((M, len(idx)))
-        zs = np.empty(M) if functional is not None else None
-
-        def work(_, nodes, rows):
-            sums[rows] = _corner_sums(f.func(nodes[..., :-1, :-1]) ** 2, idx)
-            if zs is not None:
-                zs[rows] = functional(nodes)
-
-        return (sums, zs), work
-
-    return _grid_pass(h, n, seed, M, grid, rep_offset=M, coarse=coarse)
+    # _point_indices is monotone, so a pair's corner (min i, min j) is that of its coordinatewise min
+    corners = [tuple(map(min, p, q)) for p in points for q in points]
+    cells = lambda _, nodes: f.func(nodes[..., :-1, :-1]) ** 2
+    return _grid_pass(h, n, seed, M, corners, cells, functional, rep_offset=M, coarse=coarse)
 
 
 def bootstrap_se(values, seed: int, resamples: int = _BOOT_RESAMPLES):
@@ -561,13 +555,22 @@ def lambda_product_grid(m: int, per_coord=DEFAULT_LAMBDAS) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def _sup_diff_records(test, params, provenance, left, right, n, M, seed, coarse) -> list[VerifyReport]:
-    """Records at n, or at ``coarse`` and n, of two sides that should agree, judged as _records says.
+def _conditional_check(
+    test, params, provenance, h, f, points, functional, sample, reference, n, M, seed, coarse
+) -> list[VerifyReport]:
+    """Records of a sample side and a reference side that should agree, judged as _records says.
 
-    ``left`` and ``right`` map each grid size to its (means, SEs). A record
-    passes iff |left - right| <= 4 * combined SE + slack on every lambda,
-    and reports the sup.
+    Checks the sizes, computes sigma, then draws each side: ``sample(xs, z)`` and
+    ``reference(sums, z, g, sigma)`` map a grid's qv_point_samples and _q_quadform_samples
+    to (M, L) values, whose column means are bootstrapped under ``seed`` and ``seed + 1``.
+    A record passes iff |left - right| <= 4 * combined SE + slack on every column.
     """
+    _check_sizes(n, coarse)
+    sigma_val = sigma_of(h, 1e-10)
+    samples = qv_point_samples(h, f, n, M, seed, points, sheet_functional=functional, coarse=coarse)
+    left = _means_and_ses({g: sample(xs, z) for g, (xs, z) in samples.items()}, seed)
+    refs = _q_quadform_samples(h, f, n, M, seed, points, functional, coarse)
+    right = _means_and_ses({g: reference(sums, z, g, sigma_val) for g, (sums, z) in refs.items()}, seed + 1)
 
     def record(g, slack, _):
         (lm, lse), (rm, rse) = left[g], right[g]
@@ -611,24 +614,18 @@ def charfn_compare(
         lam = lam[:, None]
     if np.abs(lam).max() > MAX_CHARFN_LAMBDA:
         raise InputError(f"lambda grid must satisfy |lambda| <= {MAX_CHARFN_LAMBDA:g} per coordinate")
-    sigma_val = sigma_of(h, 1e-10)
 
-    samples = qv_point_samples(h, f, n, M, seed, points, coarse=coarse)
-    emp = _means_and_ses({g: np.exp(1j * xs @ lam.T) for g, (xs, _) in samples.items()}, seed)
-
-    def quadform(g, sums):
+    def quadform(sums, _, g, sigma_val):
         # exp(-1/2 lam' Q lam) per replication, in place in one (M, L) array
         p = len(points)
         q = np.einsum("la,rab,lb->rl", lam, sums.reshape(M, p, p) * (sigma_val**2 / (g * g)), lam)
         q *= -0.5
         return np.exp(q, out=q)
 
-    refs = _q_quadform_samples(h, f, n, M, seed, points, coarse=coarse)
-    ref = _means_and_ses({g: quadform(g, sums) for g, (sums, _) in refs.items()}, seed + 1)
     params = {"alpha": h.alpha, "beta": h.beta, "f": f.kind, "points": [list(p) for p in points]}
-    return _sup_diff_records(
+    return _conditional_check(
         "charfn_compare", params, "closed-form conditional charfn over independent sheet MC",
-        emp, ref, n, M, seed, coarse,
+        h, f, points, None, lambda xs, _: np.exp(1j * xs @ lam.T), quadform, n, M, seed, coarse,
     )
 
 
@@ -659,26 +656,15 @@ def stable_convergence_check(
     """
     if z_kind not in Z_KINDS:
         raise InputError(f"unknown Z kind {z_kind!r}")
-    functional = Z_KINDS[z_kind]
     lam = np.asarray(lambdas, dtype=float).ravel()
-    sigma_val = sigma_of(h, 1e-10)
-
-    samples = qv_point_samples(h, f, n, M, seed, [t], sheet_functional=functional, coarse=coarse)
-    left = _means_and_ses(
-        {g: z[:, None] * np.exp(1j * np.outer(xs[:, 0], lam)) for g, (xs, z) in samples.items()}, seed
-    )
-    refs = _q_quadform_samples(h, f, n, M, seed, [t], functional, coarse)
-    right = _means_and_ses(
-        {
-            g: zr[:, None] * np.exp(-0.5 * np.outer(sums[:, 0] / (g * g), lam**2) * sigma_val**2)
-            for g, (sums, zr) in refs.items()
-        },
-        seed + 1,
+    sample = lambda xs, z: z[:, None] * np.exp(1j * np.outer(xs[:, 0], lam))
+    reference = lambda sums, z, g, sigma_val: z[:, None] * np.exp(
+        -0.5 * np.outer(sums[:, 0] / (g * g), lam**2) * sigma_val**2
     )
     params = {"alpha": h.alpha, "beta": h.beta, "f": f.kind, "t": list(t), "Z": z_kind}
-    return _sup_diff_records(
+    return _conditional_check(
         "stable_convergence", params, "conditional-Gaussian identity over independent sheet MC",
-        left, right, n, M, seed, coarse,
+        h, f, [t], Z_KINDS[z_kind], sample, reference, n, M, seed, coarse,
     )
 
 

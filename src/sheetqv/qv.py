@@ -96,13 +96,6 @@ def qv_process(inc: IncrementField, f: WeightFunction) -> QVProcess:
     return QVProcess(n=inc.n, partial_sums=s, hurst=inc.hurst, weight_kind=f.kind)
 
 
-def eval_qv(p: QVProcess, s: float, t: float) -> float:
-    """Value of the process at (s, t): the partial sum S[floor(ns), floor(nt)]."""
-    i = min(int(np.floor(p.n * s)), p.n)
-    j = min(int(np.floor(p.n * t)), p.n)
-    return float(p.partial_sums[i, j])
-
-
 def write_qv_csv(path, p: QVProcess) -> None:
     """CSV dump: one header row (n, alpha, beta, weight kind), then row-major values.
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import sheetqv
-from sheetqv import cli, fieldsim
+from sheetqv import cli, fieldsim, mcverify
 from sheetqv.cli import EXIT_CONFIG, EXIT_OK, EXIT_TEST_FAILURE, build_parser, main
 from sheetqv.fieldsim import read_field
 from sheetqv.kernel import HurstPair
@@ -382,12 +382,48 @@ def test_verify_suite_own_weight_changes_nothing(capsys, argv, own):
     ["verify", "--which", "var", "--M", "x", "--seed", "1"],
     ["sigma", "--tol", "-inf"],
     ["frobnicate"],
+    # charfn and stable also judge n // 2, which the CLI derives from --n
+    ["verify", "--which", "charfn", "--n", "1", "--M", "2", "--seed", "1"],
 ])
 def test_commands_reject_unusable_input(capsys, tmp_path, argv):
     out = tmp_path / "out.csv"
     extra = ["--out", str(out)] if argv[0] in ("sample", "qv") else []
     assert _rejected(capsys, *argv, "--alpha", "0.35", "--beta", "0.4", *extra)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("which", ["charfn", "stable"])
+def test_two_scale_suites_refuse_n_1_by_its_flag(capsys, which):
+    # not the coarse size n // 2 = 0, a value the user never gave
+    code, recs, err = run(
+        capsys, "verify", "--which", which, "--n", "1",
+        "--alpha", "0.35", "--beta", "0.35", "--M", "2", "--seed", "1",
+    )
+    assert code == EXIT_CONFIG and recs == []
+    assert "--n" in err and "coarse" not in err
+
+
+def test_var_refuses_indices_outside_the_regime_before_any_draw(capsys, monkeypatch):
+    # sizes, then sigma, then draws: the regime refusal draws no stream
+    def no_draws(*args):
+        raise AssertionError("a stream was drawn")
+
+    monkeypatch.setattr(mcverify, "standard_normals", no_draws)
+    code, recs, err = run(
+        capsys, "verify", "--which", "var", "--alpha", "0.8", "--beta", "0.3",
+        "--n-list", "16", "1024", "--M", "200", "--seed", "1",
+    )
+    assert code == EXIT_CONFIG and recs == [] and len(err.strip().splitlines()) == 1
+
+
+def test_stable_refuses_an_oversized_grid_before_sigma(capsys):
+    # sigma's series cannot meet its tolerance at beta = 0.6 either; the size is checked first
+    code, recs, err = run(
+        capsys, "verify", "--which", "stable", "--n", "5000", "--alpha", "0.3", "--beta", "0.6",
+        "--M", "2", "--seed", "1",
+    )
+    assert code == EXIT_CONFIG and recs == []
+    assert "4096" in err
 
 
 @pytest.mark.parametrize("argv,flag", [

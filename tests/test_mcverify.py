@@ -41,7 +41,7 @@ from sheetqv.mcverify import (
     second_moment_limit,
     stable_convergence_check,
 )
-from sheetqv.qv import eval_qv, qv_process, weight
+from sheetqv.qv import QVProcess, qv_process, weight
 from sheetqv.sigma import sigma
 
 H = HurstPair(0.35, 0.35)
@@ -218,6 +218,24 @@ def test_mean_decay_validates_grid_list():
 
 
 # --- MC sampling machinery ------------------------------------------------------
+
+
+def eval_qv(p: QVProcess, s: float, t: float) -> float:
+    """Value of the process at (s, t): the partial sum S[floor(ns), floor(nt)]."""
+    i = min(int(np.floor(p.n * s)), p.n)
+    j = min(int(np.floor(p.n * t)), p.n)
+    return float(p.partial_sums[i, j])
+
+
+def test_eval_qv_floor_indexing():
+    inc = sample_increments(H, 8, replication_rng(1, 0, PURPOSE_SHEET))
+    p = qv_process(inc, weight("identity"))
+    assert eval_qv(p, 0.0, 0.5) == 0.0
+    assert eval_qv(p, 1.0, 1.0) == p.partial_sums[8, 8]
+    # 0.37*8 = 2.96 -> floor 2; 0.5*8 -> 4
+    assert eval_qv(p, 0.37, 0.5) == p.partial_sums[2, 4]
+    # values beyond 1 clamp to the last index
+    assert eval_qv(p, 1.2, 1.0) == p.partial_sums[8, 8]
 
 
 def test_qv_point_samples_match_qv_process():

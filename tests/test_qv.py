@@ -8,7 +8,7 @@ import pytest
 
 from sheetqv.fieldsim import PURPOSE_SHEET, field_from_increments, replication_rng, sample_increments
 from sheetqv.kernel import HurstPair
-from sheetqv.qv import eval_qv, qv_process, weight, write_qv_csv
+from sheetqv.qv import qv_process, weight, write_qv_csv
 
 H = HurstPair(0.35, 0.4)
 
@@ -88,17 +88,6 @@ def test_qv_process_zero_margins():
     p = qv_process(inc, weight("constant_one"))
     assert np.all(p.partial_sums[0, :] == 0.0)
     assert np.all(p.partial_sums[:, 0] == 0.0)
-
-
-def test_eval_qv_floor_indexing():
-    _, inc = make_sample(n=8)
-    p = qv_process(inc, weight("identity"))
-    assert eval_qv(p, 0.0, 0.5) == 0.0
-    assert eval_qv(p, 1.0, 1.0) == p.partial_sums[8, 8]
-    # 0.37*8 = 2.96 -> floor 2; 0.5*8 -> 4
-    assert eval_qv(p, 0.37, 0.5) == p.partial_sums[2, 4]
-    # values beyond 1 clamp to the last index
-    assert eval_qv(p, 1.2, 1.0) == p.partial_sums[8, 8]
 
 
 def test_brownian_constant_weight_mean_variance():
