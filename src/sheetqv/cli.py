@@ -128,6 +128,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 raise InputError(f"config file {args.config} is not valid JSON: {e}") from e
         if not isinstance(cfg, dict):
             raise InputError("config file must hold a JSON object")
+        unknown = [k for k in cfg if k not in _OPTIONS]
+        if unknown:  # a misspelt key would otherwise leave its option at the default
+            raise InputError(f"config key {unknown[0]!r} names no option")
     cfg.update((k, v) for k, v in vars(args).items() if k not in ("command", "config") and v is not None)
     for k, (kind, ok, _) in _OPTIONS.items():
         if k in cfg and not ok(cfg[k]):
@@ -265,6 +268,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise InputError(message)
+
+    def _parse_optional(self, arg_string):
+        # any text float() reads, such as -inf or -1e-3, is a value; argparse alone reads only -1 or -.5 so
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,8 +4,8 @@
 joined by commas. Finite values whose decimal exponent X lies in [-11, 14]
 get their 17 significant digits exactly with integer arithmetic in numpy
 (``_quotient``), and their text is laid out in a byte matrix (``_encode``);
-every other value is formatted by Python. Blocks go in pairs to the calling
-thread and one worker thread, in scratch that lives in anonymous memory
+every other value is formatted by Python. The calling thread lays out and
+writes one block at a time, in scratch that lives in anonymous memory
 mappings.
 """
 
@@ -16,8 +16,6 @@ import math
 import mmap
 
 import numpy as np
-
-from ._threads import alongside
 
 _BLOCK = 1 << 16  # values per block: memory is O(block) at any n
 _PIECE = 1 << 11  # values per str written, and per fallback %-format
@@ -52,9 +50,9 @@ def _mapped(*specs):
     unmapped when the last of them is dropped.
 
     Scratch from the heap would stay resident once freed: glibc keeps freed
-    chunks below its trim threshold, and a worker thread's arena keeps its
-    peak. Blocks formatted in heap temporaries left 20-46 MB resident after
-    a ``qv`` at n = 1024, which a later operation's peak RSS then carried.
+    chunks below its trim threshold, and a thread's arena keeps its peak.
+    Blocks formatted in heap temporaries left 20-46 MB resident after a
+    ``qv`` at n = 1024, which a later operation's peak RSS then carried.
     """
     sizes = [-(-np.dtype(dtype).itemsize * math.prod(shape) // 64) * 64 for dtype, shape in specs]
     memory = np.frombuffer(mmap.mmap(-1, max(sum(sizes), 1)), np.uint8)
@@ -66,7 +64,7 @@ def _mapped(*specs):
 
 
 class _Scratch:
-    """The arrays one thread formats blocks of up to ``size`` values in."""
+    """The arrays ``_encode`` formats blocks of up to ``size`` values in."""
 
     def __init__(self, size: int):
         (self.xf, self.x, self.e, self.m, self.q, self.lanes, self.packed, self.t, self.flags,
@@ -285,45 +283,20 @@ def write_rows(fh, rows: np.ndarray, end: str) -> None:
     of ``"%.17g" % v`` for every value: ``_encode`` computes it exactly with
     integer arithmetic in numpy for finite values with decimal exponents in
     [-11, 14] (|v| from 1e-11 to below 1e15) and hands every other value to
-    Python's ``%``. Blocks of about ``_BLOCK`` values (whole rows) go in
-    pairs: the worker of ``alongside`` lays out the second block of a pair in
-    lane 1's scratch and lines while the calling thread lays out the first in
-    lane 0's and writes it; the second is written once the worker is joined.
-    An odd last block, or a single one, is the calling thread's alone, and
-    only it writes, ``_PIECE`` values per ``write``. At most two blocks are
-    laid out and not yet written, so memory is O(block) at any size, and the
-    blocks' arrays are unmapped on return. The worker calls nothing that
-    perfbench hooks.
+    Python's ``%``. The calling thread lays out blocks of about ``_BLOCK``
+    values (whole rows) one at a time in one scratch and one ``lines``
+    mapping, and writes each block before it lays out the next, ``_PIECE``
+    values per ``write``. So memory is O(block) at any size, and the
+    block's arrays are unmapped on return.
     """
-    cols = rows.shape[1]
-    if cols == 0:  # every line is its end alone
+    if rows.size == 0:  # no values: every line is its end alone
         fh.write(end * rows.shape[0])
         return
-    step = max(1, _BLOCK // cols)
-    starts = range(0, rows.shape[0], step)
-    if not starts:
-        return
-    size = min(step, rows.shape[0]) * cols
+    step = max(1, _BLOCK // rows.shape[1])
+    size = min(step, rows.shape[0]) * rows.shape[1]
     end = end.encode("ascii")
-    _tables()  # built once, before two threads could race to build it
-    lines = _mapped(*[(np.uint8, (size, _LINE))] * min(2, len(starts)))
-    lanes = [(_Scratch(size), lane_lines) for lane_lines in lines]  # (scratch, lines) of a thread
-    counts = [0, 0]  # values laid out in each lane
-
-    def encode(i, lane):
-        block = rows[starts[i] : starts[i] + step]
-        _encode(block, *lanes[lane], end)
-        counts[lane] = block.size
-
-    def write(lane):
-        _write_lines(fh, lanes[lane][1][: counts[lane]])
-
-    pairs = len(starts) // 2 * 2
-    for i in range(0, pairs, 2):
-        with alongside(encode, i + 1, 1):
-            encode(i, 0)
-            write(0)
-        write(1)
-    if pairs < len(starts):
-        encode(pairs, 0)
-        write(0)
+    scratch, (lines,) = _Scratch(size), _mapped((np.uint8, (size, _LINE)))
+    for start in range(0, rows.shape[0], step):
+        block = rows[start : start + step]
+        _encode(block, scratch, lines, end)
+        _write_lines(fh, lines[: block.size])

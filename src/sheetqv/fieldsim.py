@@ -206,8 +206,8 @@ def write_csv_rows(fh, rows: np.ndarray, end: str) -> None:
 
     ``end`` is the line end ("\\n" or "\\r\\n"). The text is byte for byte that
     of ``"%.17g" % v`` for every value; ``csvtext.write_rows`` computes it
-    in blocks on two threads. It is imported here, at the first call, so
-    that commands writing no CSV neither load nor compile it.
+    in blocks on the calling thread. It is imported here, at the first call,
+    so that commands writing no CSV neither load nor compile it.
     """
     from . import csvtext
 

@@ -166,7 +166,8 @@ def test_qv_unknown_weight(capsys, tmp_path):
 
 def test_config_file_and_flag_override(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"alpha": 0.5, "beta": 0.5, "tol": 1e-6}))
+    # M and weight are other commands' keys: accepted, as the table checks them for every command
+    cfg.write_text(json.dumps({"alpha": 0.5, "beta": 0.5, "tol": 1e-6, "M": 3, "weight": "square"}))
     code, recs, _ = run(capsys, "sigma", "--config", str(cfg))
     assert code == EXIT_OK and recs[0]["sigma"] == math.sqrt(2.0)
     # flag overrides the file value
@@ -377,10 +378,11 @@ def test_verify_suite_own_weight_changes_nothing(capsys, argv, own):
     ["sigma", "--tol", "inf"],
     ["sample", "--n", "8", "--seed", "1", "--method", "fft"],
     ["verify", "--which", "nope", "--seed", "1"],
-    # text argparse cannot convert, a value it takes for a flag, and an unknown command: one line too
+    # text argparse cannot convert, negative values that are no flags, and an unknown command: one line too
     ["sample", "--n", "2.5", "--seed", "1"],
     ["verify", "--which", "var", "--M", "x", "--seed", "1"],
     ["sigma", "--tol", "-inf"],
+    ["sigma", "--tol", "-1e-3"],
     ["frobnicate"],
     # charfn and stable also judge n // 2, which the CLI derives from --n
     ["verify", "--which", "charfn", "--n", "1", "--M", "2", "--seed", "1"],
@@ -424,6 +426,18 @@ def test_stable_refuses_an_oversized_grid_before_sigma(capsys):
     )
     assert code == EXIT_CONFIG and recs == []
     assert "4096" in err
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["--alpha", "0.35", "--tol", "-inf"], "must be a finite number"),
+    (["--alpha", "0.35", "--tol", "-1e-3"], "tol must be positive"),
+    (["--alpha", "-1e-3"], "alpha must lie in (0,1)"),
+], ids=["tol-minus-inf", "tol-negative", "alpha-negative"])
+def test_negative_values_are_read_as_values(capsys, argv, reason):
+    # argparse alone reads -inf and -1e-3 as flags and refuses with "expected one argument"
+    code, recs, err = run(capsys, "sigma", "--beta", "0.4", *argv)
+    assert code == EXIT_CONFIG and recs == []
+    assert reason in err and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -479,6 +493,8 @@ HURST = '"alpha": 0.35, "beta": 0.35'
     (["sigma", *H_FLAGS], '{"n": 0}'),
     (["sigma", *H_FLAGS], '{"seed": -1}'),
     (["verify", "--which", "kernel-props", *H_FLAGS, "--seed", "1", "--cases", "1"], '{"M": 0}'),
+    # a misspelt key would leave its option at the default
+    (["sigma"], '{"alpha": 0.35, "beta": 0.35, "weigth": "square"}'),
 ], ids=[
     "malformed-json", "tol-string", "n-float", "n-bool", "seed-string", "n_list-scalar",
     "n_list-float", "n_list-empty", "n_list-three-sizes", "alpha-list", "beta-string", "alpha-huge-int",
@@ -487,7 +503,7 @@ HURST = '"alpha": 0.35, "beta": 0.35'
     "z_kind-unknown", "n_list-above-mean-bound", "n_list-decreasing", "n_list-equal-sizes",
     "weight-ks-not-constant_one", "weight-mean-not-square",
     "which-list", "format-list", "weight-object", "z_kind-number",
-    "n-zero-unused", "seed-negative-unused", "M-zero-unused",
+    "n-zero-unused", "seed-negative-unused", "M-zero-unused", "key-misspelt",
 ])
 def test_config_rejects_unusable_values(capsys, tmp_path, command, content):
     cfg = tmp_path / "cfg.json"

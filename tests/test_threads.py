@@ -117,6 +117,16 @@ def test_only_the_helper_starts_a_thread():
     assert banned == set()
 
 
+def test_only_sigma_and_monte_carlo_chunks_use_the_helper():
+    # each user's second core shows end to end; CSV text is laid out on the calling thread
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if "alongside" in _names(tree) and path.name != "_threads.py":
+            users.add(path.name)
+    assert users == {"sigma.py", "mcverify.py"}
+
+
 def _modules_after(code):
     out = subprocess.run(
         [sys.executable, "-c", code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))"],
