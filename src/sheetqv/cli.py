@@ -218,7 +218,8 @@ def cmd_verify(cfg: dict) -> int:
         reports.append(mcverify.mean_decay(h, qvmod.weight("square"), (1.0, 1.0), n_list))
     elif which == "var":
         n_list = cfg.get("n_list", [16, 64])
-        if len(n_list) > 2:  # the draw size and at most one coarse size
+        # the draw size, after at most one smaller coarse size
+        if len(n_list) > 2 or (len(n_list) == 2 and n_list[0] >= n_list[1]):
             raise InputError("--which var takes one --n-list size or two strictly increasing ones")
         coarse = n_list[0] if len(n_list) == 2 else None
         f = qvmod.weight(cfg.get("weight", "identity"))

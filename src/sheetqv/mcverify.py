@@ -509,13 +509,15 @@ def _q_quadform_samples(h, f, n, M, seed, points, functional=None, coarse=None):
     return _grid_pass(h, n, seed, M, corners, cells, functional, rep_offset=M, coarse=coarse)
 
 
-def bootstrap_se(values, seed: int, resamples: int = _BOOT_RESAMPLES):
+def bootstrap_se(values, seed: int, resamples: int = _BOOT_RESAMPLES, m=None, dtype=None):
     """Bootstrap standard error of the column means of ``values`` (M, K).
 
     Deterministic given ``seed``; complex input gets the quadrature-combined
     SE of real and imaginary parts. ``values`` may also be a list of such
-    arrays with one M and one dtype: the seed's weights are drawn once and
-    resample each of them, and the result is the list of their SEs.
+    arrays with one M and one dtype, or of functions building them, whose M
+    and dtype are then ``m`` and ``dtype``: the seed's weights are drawn
+    first and resample each in turn, a function called only once the SE
+    before it is taken. The result is the list of their SEs.
 
     The weights are built in the dtype the product ``weights @ values``
     computes in, so it casts nothing, from multinomial draws of about 1 MiB
@@ -524,16 +526,18 @@ def bootstrap_se(values, seed: int, resamples: int = _BOOT_RESAMPLES):
     memory the weights need beyond themselves.
     """
     arrays = [values] if isinstance(values, np.ndarray) else values
-    m = arrays[0].shape[0]
+    if m is None:
+        m, dtype = arrays[0].shape[0], arrays[0].dtype
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, PURPOSE_BOOT)))
     pvals = np.full(m, 1.0 / m)
-    weights = np.empty((resamples, m), np.result_type(np.float64, arrays[0]))
+    weights = np.empty((resamples, m), np.result_type(np.float64, dtype))
     block = max(1, (1 << 20) // (8 * m))
     for start in range(0, resamples, block):
         rows = weights[start : start + block]
         np.divide(rng.multinomial(m, pvals, size=rows.shape[0]), m, out=rows)
     ses = []
     for v in arrays:
+        v = v() if callable(v) else v  # built once the loop has dropped the last one
         means = weights @ v.reshape(m, -1)
         if np.iscomplexobj(v):
             se = np.sqrt(means.real.var(axis=0, ddof=1) + means.imag.var(axis=0, ddof=1))
@@ -543,10 +547,16 @@ def bootstrap_se(values, seed: int, resamples: int = _BOOT_RESAMPLES):
     return ses[0] if isinstance(values, np.ndarray) else ses
 
 
-def _means_and_ses(samples: dict, seed: int) -> dict:
-    """Per grid size, the column means of its samples and their SE under the seed's one set of weights."""
-    ses = bootstrap_se(list(samples.values()), seed)
-    return {g: (s.mean(axis=0), se) for (g, s), se in zip(samples.items(), ses)}
+def _means_and_ses(build, sizes, M: int, dtype, seed: int) -> dict:
+    """Per grid size g, the column means of ``build(g)`` (M, L) and their SE under the seed's weights."""
+    means = {}
+
+    def columns(g):
+        means[g] = (v := build(g)).mean(axis=0)
+        return v
+
+    ses = bootstrap_se([lambda g=g: columns(g) for g in sizes], seed, m=M, dtype=dtype)
+    return {g: (means[g], se) for g, se in zip(sizes, ses)}
 
 
 def lambda_product_grid(m: int, per_coord=DEFAULT_LAMBDAS) -> np.ndarray:
@@ -562,15 +572,15 @@ def _conditional_check(
 
     Checks the sizes, computes sigma, then draws each side: ``sample(xs, z)`` and
     ``reference(sums, z, g, sigma)`` map a grid's qv_point_samples and _q_quadform_samples
-    to (M, L) values, whose column means are bootstrapped under ``seed`` and ``seed + 1``.
+    to (M, L) complex and real values, whose column means are bootstrapped under ``seed`` and ``seed + 1``.
     A record passes iff |left - right| <= 4 * combined SE + slack on every column.
     """
     _check_sizes(n, coarse)
     sigma_val = sigma_of(h, 1e-10)
     samples = qv_point_samples(h, f, n, M, seed, points, sheet_functional=functional, coarse=coarse)
-    left = _means_and_ses({g: sample(xs, z) for g, (xs, z) in samples.items()}, seed)
+    left = _means_and_ses(lambda g: sample(*samples[g]), samples, M, complex, seed)
     refs = _q_quadform_samples(h, f, n, M, seed, points, functional, coarse)
-    right = _means_and_ses({g: reference(sums, z, g, sigma_val) for g, (sums, z) in refs.items()}, seed + 1)
+    right = _means_and_ses(lambda g: reference(*refs[g], g, sigma_val), refs, M, float, seed + 1)
 
     def record(g, slack, _):
         (lm, lse), (rm, rse) = left[g], right[g]
@@ -625,7 +635,7 @@ def charfn_compare(
     params = {"alpha": h.alpha, "beta": h.beta, "f": f.kind, "points": [list(p) for p in points]}
     return _conditional_check(
         "charfn_compare", params, "closed-form conditional charfn over independent sheet MC",
-        h, f, points, None, lambda xs, _: np.exp(1j * xs @ lam.T), quadform, n, M, seed, coarse,
+        h, f, points, None, lambda xs, _: np.exp(q := 1j * xs @ lam.T, out=q), quadform, n, M, seed, coarse,
     )
 
 
@@ -790,25 +800,15 @@ def kernel_property_suite(cases: int, seed: int) -> list[VerifyReport]:
     violations = _rect_bound_violations(rng, cases)
 
     params = {"cases": cases, "seed": seed}
+    oracle = "signed cov_point expansion"
+    checks = [
+        ("incr_cov_oracle_equivalence", worst_incr, oracle, worst_incr <= 1e-10),
+        ("delta_incr_inner_oracle_equivalence", worst_delta, oracle, worst_delta <= 1e-10),
+        ("point_rect_cov_bound", float(violations), "exact kernel formula", violations == 0),
+    ]
     return [
-        VerifyReport(
-            test="incr_cov_oracle_equivalence", params=params,
-            estimate=worst_incr, se=0.0, reference=0.0,
-            provenance="signed cov_point expansion",
-            passed=worst_incr <= 1e-10,
-        ),
-        VerifyReport(
-            test="delta_incr_inner_oracle_equivalence", params=params,
-            estimate=worst_delta, se=0.0, reference=0.0,
-            provenance="signed cov_point expansion",
-            passed=worst_delta <= 1e-10,
-        ),
-        VerifyReport(
-            test="point_rect_cov_bound", params=params,
-            estimate=float(violations), se=0.0, reference=0.0,
-            provenance="exact kernel formula",
-            passed=violations == 0,
-        ),
+        VerifyReport(test=t, params=params, estimate=e, se=0.0, reference=0.0, provenance=p, passed=ok)
+        for t, e, p, ok in checks
     ]
 
 

@@ -405,6 +405,17 @@ def test_two_scale_suites_refuse_n_1_by_its_flag(capsys, which):
     assert "--n" in err and "coarse" not in err
 
 
+@pytest.mark.parametrize("n_list", [["64", "16"], ["12", "12"]])
+def test_var_refuses_an_n_list_that_does_not_increase_by_its_flag(capsys, n_list):
+    # not the coarse size second_moment_limit is handed, a parameter the user never named
+    code, recs, err = run(
+        capsys, "verify", "--which", "var", "--alpha", "0.35", "--beta", "0.35",
+        "--n-list", *n_list, "--M", "10", "--seed", "1",
+    )
+    assert code == EXIT_CONFIG and recs == []
+    assert "--n-list" in err and "coarse" not in err
+
+
 def test_var_refuses_indices_outside_the_regime_before_any_draw(capsys, monkeypatch):
     # sizes, then sigma, then draws: the regime refusal draws no stream
     def no_draws(*args):

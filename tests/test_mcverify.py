@@ -579,6 +579,46 @@ def test_bootstrap_se_holds_only_the_weights():
     assert peak < 200 * 5000 * 16 + (2 << 20)
 
 
+@pytest.mark.parametrize("M", [2, 129, 5000])
+@pytest.mark.parametrize("grids", [1, 2])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_means_and_ses_of_built_grids_equal_those_of_grids_built_first(kind, grids, M):
+    # the oracle builds every grid's columns, then takes bootstrap_se of their list;
+    # the complex builder is charfn's in-place transform, the oracle's its out-of-place one
+    lam = lambda_product_grid(2)
+    if kind == "real":
+        dtype, build = float, lambda xs: np.exp(-0.5 * xs**2 @ (lam**2).T)
+        oracle = build
+    else:
+        dtype, build = complex, lambda xs: np.exp(q := 1j * xs @ lam.T, out=q)
+        oracle = lambda xs: np.exp(1j * xs @ lam.T)
+    rng = np.random.default_rng(M + grids)
+    xs = {g: rng.standard_normal((M, 2)) for g in (8, 4)[:grids]}
+    got = mcverify._means_and_ses(lambda g: build(xs[g]), xs, M, dtype, 17)
+    columns = {g: oracle(x) for g, x in xs.items()}
+    weights = _bootstrap_weights_one_draw(M, 17, 200)
+    assert list(got) == list(xs)
+    for (g, v), se in zip(columns.items(), bootstrap_se(list(columns.values()), 17)):
+        assert np.array_equal(se, _bootstrap_se_one_draw(weights, v))
+        assert np.array_equal(got[g][0], v.mean(axis=0)) and np.array_equal(got[g][1], se)
+
+
+def test_charfn_holds_one_grids_columns_beside_the_weights():
+    # at the peak: the complex weights (15.3 MiB) and one grid's (5000, 36) complex
+    # columns (2.7 MiB); the 2 MiB slack holds the means and what the check holds
+    # before its SE step (about 1 MiB, the samples among it). Both grids' columns
+    # at once, besides the weights and a block of counts, peaked at 22-23 MiB.
+    lam = lambda_product_grid(2)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        charfn_compare(H, weight("cosine"), [(0.5, 1.0), (1.0, 0.5)], lam, 8, 5000, 3, coarse=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 5000 * 16 + 5000 * 36 * 16 + (2 << 20)
+
+
 def test_lambda_product_grid():
     g = lambda_product_grid(2)
     assert g.shape == (len(DEFAULT_LAMBDAS) ** 2, 2)
