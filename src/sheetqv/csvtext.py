@@ -5,15 +5,12 @@ joined by commas. Finite values whose decimal exponent X lies in [-11, 14]
 get their 17 significant digits exactly with integer arithmetic in numpy
 (``_quotient``), and their text is laid out in a byte matrix (``_encode``);
 every other value is formatted by Python. The calling thread lays out and
-writes one block at a time, in scratch that lives in anonymous memory
-mappings.
+writes one block at a time, in one set of block-sized arrays.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-import mmap
 
 import numpy as np
 
@@ -45,38 +42,17 @@ def _tables():
     return pow5 & _LO32, pow5 >> _U32, quads.view(np.uint32).reshape(-1)
 
 
-def _mapped(*specs):
-    """Arrays of the given (dtype, shape) in one anonymous memory mapping,
-    unmapped when the last of them is dropped.
-
-    Scratch from the heap would stay resident once freed: glibc keeps freed
-    chunks below its trim threshold, and a thread's arena keeps its peak.
-    Blocks formatted in heap temporaries left 20-46 MB resident after a
-    ``qv`` at n = 1024, which a later operation's peak RSS then carried.
-    """
-    sizes = [-(-np.dtype(dtype).itemsize * math.prod(shape) // 64) * 64 for dtype, shape in specs]
-    memory = np.frombuffer(mmap.mmap(-1, max(sum(sizes), 1)), np.uint8)
-    arrays, at = [], 0
-    for (dtype, shape), size in zip(specs, sizes):
-        arrays.append(memory[at : at + size].view(dtype)[: math.prod(shape)].reshape(shape))
-        at += size
-    return arrays
-
-
 class _Scratch:
     """The arrays ``_encode`` formats blocks of up to ``size`` values in."""
 
     def __init__(self, size: int):
-        (self.xf, self.x, self.e, self.m, self.q, self.lanes, self.packed, self.t, self.flags,
-         self.groups, self.dig, self.fields) = _mapped(
-            (np.float64, (size,)), (np.int64, (size,)), (np.int64, (size,)),
-            (np.uint64, (size,)), (np.uint64, (size,)), (np.uint64, (size,)),
-            (np.uint64, (size,)), (np.uint64, (6, size)), (np.bool_, (4, size)),
-            (np.int64, (size, 5)), (np.uint32, (size, 5)), (np.uint8, (size, _LINE)),
-        )
-        self.lanes.fill(1)
-        self.lanes[:1] = 0
-        np.cumsum(self.lanes, out=self.lanes)  # 0, 1, 2, ... without an arange in the heap
+        self.xf = np.empty(size)
+        self.x, self.e = np.empty(size, np.int64), np.empty(size, np.int64)
+        self.m, self.q, self.packed = (np.empty(size, np.uint64) for _ in range(3))
+        self.lanes = np.arange(size, dtype=np.uint64)
+        self.t, self.flags = np.empty((6, size), np.uint64), np.empty((4, size), bool)
+        self.groups, self.dig = np.empty((size, 5), np.int64), np.empty((size, 5), np.uint32)
+        self.fields = np.empty((size, _LINE), np.uint8)
 
 
 def _quotient(m, e, x, q, up, t) -> None:
@@ -285,9 +261,8 @@ def write_rows(fh, rows: np.ndarray, end: str) -> None:
     [-11, 14] (|v| from 1e-11 to below 1e15) and hands every other value to
     Python's ``%``. The calling thread lays out blocks of about ``_BLOCK``
     values (whole rows) one at a time in one scratch and one ``lines``
-    mapping, and writes each block before it lays out the next, ``_PIECE``
-    values per ``write``. So memory is O(block) at any size, and the
-    block's arrays are unmapped on return.
+    array, and writes each block before it lays out the next, ``_PIECE``
+    values per ``write``. So memory is O(block) at any size.
     """
     if rows.size == 0:  # no values: every line is its end alone
         fh.write(end * rows.shape[0])
@@ -295,7 +270,7 @@ def write_rows(fh, rows: np.ndarray, end: str) -> None:
     step = max(1, _BLOCK // rows.shape[1])
     size = min(step, rows.shape[0]) * rows.shape[1]
     end = end.encode("ascii")
-    scratch, (lines,) = _Scratch(size), _mapped((np.uint8, (size, _LINE)))
+    scratch, lines = _Scratch(size), np.empty((size, _LINE), np.uint8)
     for start in range(0, rows.shape[0], step):
         block = rows[start : start + step]
         _encode(block, scratch, lines, end)

@@ -203,22 +203,18 @@ def mean_decay(
 # chunked sheet sampling
 
 
-def _rep_bytes(n: int, method: str, coarse: int | None = None) -> int:
+def _rep_bytes(shapes) -> int:
     """Bytes one replication holds while its chunk is in flight.
 
-    Per grid, the draws Z, the half product F_alpha Z, and six cell-sized
-    arrays: the increments, the nodes and the temporaries of a chunk's work.
-    A ``coarse`` grid's draws are a contiguous copy of a prefix of the fine
-    grid's.
+    ``shapes`` are the (g, m) shapes of the grids' factors. Per grid, the
+    draws Z, the half product F_alpha Z, and six cell-sized arrays: the
+    increments, the nodes and the temporaries of a chunk's work. A coarse
+    grid's draws are a contiguous copy of a prefix of the fine grid's.
     """
-    total = 0
-    for g in (n,) if coarse is None else (n, coarse):
-        m = g if method == "cholesky" else 2 * g
-        total += 8 * (m * m + g * m + 6 * (g + 1) ** 2)
-    return total
+    return sum(8 * (m * m + g * m + 6 * (g + 1) ** 2) for g, m in shapes)
 
 
-def _chunk_reps(n: int, method: str, coarse: int | None = None) -> int:
+def _chunk_reps(shapes) -> int:
     """Replications per chunk so that three chunks fit _CHUNK_BUDGET (at least 1).
 
     Three are in flight at most: the two that ``_node_chunks`` lends the
@@ -226,7 +222,7 @@ def _chunk_reps(n: int, method: str, coarse: int | None = None) -> int:
     one the calling thread finishes itself. A lent chunk holds its slot of
     the two until the worker has finished it and dropped its draws.
     """
-    return max(1, _CHUNK_BUDGET // (3 * _rep_bytes(n, method, coarse)))
+    return max(1, _CHUNK_BUDGET // (3 * _rep_bytes(shapes)))
 
 
 def _node_chunks(h, n, seed, M, work, rep_offset=0, method="cholesky", coarse=None):
@@ -262,7 +258,7 @@ def _node_chunks(h, n, seed, M, work, rep_offset=0, method="cholesky", coarse=No
     grids = [(n, work)] if coarse is None else [(n, work), coarse]
     factors = [(factor_1d(h.alpha, g, method), factor_1d(h.beta, g, method), w) for g, w in grids]
     m = factors[0][0].shape[1]
-    size = _chunk_reps(n, method, None if coarse is None else coarse[0])
+    size = _chunk_reps([fa.shape for fa, _, _ in factors])
     reps = min(size, M)
 
     def buffers():
@@ -509,54 +505,37 @@ def _q_quadform_samples(h, f, n, M, seed, points, functional=None, coarse=None):
     return _grid_pass(h, n, seed, M, corners, cells, functional, rep_offset=M, coarse=coarse)
 
 
-def bootstrap_se(values, seed: int, resamples: int = _BOOT_RESAMPLES, m=None, dtype=None):
-    """Bootstrap standard error of the column means of ``values`` (M, K).
+def bootstrap_se(build, sizes, M: int, dtype, seed: int) -> dict:
+    """Per grid size g in ``sizes``, the column means of ``build(g)`` (M, L) and their bootstrap SE.
 
-    Deterministic given ``seed``; complex input gets the quadrature-combined
-    SE of real and imaginary parts. ``values`` may also be a list of such
-    arrays with one M and one dtype, or of functions building them, whose M
-    and dtype are then ``m`` and ``dtype``: the seed's weights are drawn
-    first and resample each in turn, a function called only once the SE
-    before it is taken. The result is the list of their SEs.
-
-    The weights are built in the dtype the product ``weights @ values``
-    computes in, so it casts nothing, from multinomial draws of about 1 MiB
-    of counts at a time: consecutive draws of k rows from one generator give
-    the rows of one draw of them all. So one block of counts is all the
-    memory the weights need beyond themselves.
+    Deterministic given ``seed``; complex columns get the quadrature-combined
+    SE of real and imaginary parts. The seed's _BOOT_RESAMPLES weights are
+    drawn first, in the dtype the product ``weights @ columns`` computes in
+    (that of ``dtype`` and float64), so it casts nothing, from multinomial
+    draws of about 1 MiB of counts at a time: consecutive draws of k rows
+    from one generator give the rows of one draw of them all. Then each
+    grid's columns are built, resampled and dropped before the next grid's
+    are built, so the weights share memory with one block of counts or one
+    grid's columns.
     """
-    arrays = [values] if isinstance(values, np.ndarray) else values
-    if m is None:
-        m, dtype = arrays[0].shape[0], arrays[0].dtype
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, PURPOSE_BOOT)))
-    pvals = np.full(m, 1.0 / m)
-    weights = np.empty((resamples, m), np.result_type(np.float64, dtype))
-    block = max(1, (1 << 20) // (8 * m))
-    for start in range(0, resamples, block):
+    pvals = np.full(M, 1.0 / M)
+    weights = np.empty((_BOOT_RESAMPLES, M), np.result_type(np.float64, dtype))
+    block = max(1, (1 << 20) // (8 * M))
+    for start in range(0, _BOOT_RESAMPLES, block):
         rows = weights[start : start + block]
-        np.divide(rng.multinomial(m, pvals, size=rows.shape[0]), m, out=rows)
-    ses = []
-    for v in arrays:
-        v = v() if callable(v) else v  # built once the loop has dropped the last one
-        means = weights @ v.reshape(m, -1)
+        np.divide(rng.multinomial(M, pvals, size=rows.shape[0]), M, out=rows)
+    out = {}
+    for g in sizes:
+        v = build(g)
+        means = weights @ v
         if np.iscomplexobj(v):
             se = np.sqrt(means.real.var(axis=0, ddof=1) + means.imag.var(axis=0, ddof=1))
         else:
             se = means.std(axis=0, ddof=1)
-        ses.append(se.reshape(v.shape[1:]))
-    return ses[0] if isinstance(values, np.ndarray) else ses
-
-
-def _means_and_ses(build, sizes, M: int, dtype, seed: int) -> dict:
-    """Per grid size g, the column means of ``build(g)`` (M, L) and their SE under the seed's weights."""
-    means = {}
-
-    def columns(g):
-        means[g] = (v := build(g)).mean(axis=0)
-        return v
-
-    ses = bootstrap_se([lambda g=g: columns(g) for g in sizes], seed, m=M, dtype=dtype)
-    return {g: (means[g], se) for g, se in zip(sizes, ses)}
+        out[g] = v.mean(axis=0), se
+        del v  # before the next grid's columns are built
+    return out
 
 
 def lambda_product_grid(m: int, per_coord=DEFAULT_LAMBDAS) -> np.ndarray:
@@ -578,9 +557,9 @@ def _conditional_check(
     _check_sizes(n, coarse)
     sigma_val = sigma_of(h, 1e-10)
     samples = qv_point_samples(h, f, n, M, seed, points, sheet_functional=functional, coarse=coarse)
-    left = _means_and_ses(lambda g: sample(*samples[g]), samples, M, complex, seed)
+    left = bootstrap_se(lambda g: sample(*samples[g]), samples, M, complex, seed)
     refs = _q_quadform_samples(h, f, n, M, seed, points, functional, coarse)
-    right = _means_and_ses(lambda g: reference(*refs[g], g, sigma_val), refs, M, float, seed + 1)
+    right = bootstrap_se(lambda g: reference(*refs[g], g, sigma_val), refs, M, float, seed + 1)
 
     def record(g, slack, _):
         (lm, lse), (rm, rse) = left[g], right[g]

@@ -437,16 +437,25 @@ def test_each_write_carries_at_most_one_block(monkeypatch):
 
 
 def test_csv_heap_is_bounded_at_any_size():
-    # the block scratch is mapped, not allocated: only the pieces of text pass through the heap
+    # memory is O(block) at any n: 1025 rows peak no higher than two blocks of
+    # the same width, nor than one block's scratch and lines
     values, devnull = _statistic_like(1025, 1025), _Writes(fail=False, keep=False)
     fieldsim.write_csv_rows(devnull, values[:2], "\n")  # tables and lazy numpy state
-    tracemalloc.start()
-    try:
-        fieldsim.write_csv_rows(devnull, values, "\r\n")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20  # one block of heap temporaries was 15 MB
+
+    def peak(rows):
+        tracemalloc.start()
+        try:
+            fieldsim.write_csv_rows(devnull, rows, "\r\n")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # per value: seven 8-byte arrays, the six 8-byte rows of t, four flags,
+    # five groups and their digits, its field and its line
+    block = csvtext._BLOCK * (7 * 8 + 6 * 8 + 4 + 5 * 8 + 5 * 4 + 2 * csvtext._LINE)
+    whole = peak(values)
+    assert whole <= peak(values[: 2 * (csvtext._BLOCK // 1025)]) + 2**20
+    assert whole <= block + 2**20
 
 
 @pytest.mark.parametrize("where", ["caller"])

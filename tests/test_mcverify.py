@@ -16,6 +16,7 @@ import scipy.stats
 from sheetqv import mcverify
 from sheetqv.fieldsim import (
     PURPOSE_SHEET,
+    factor_1d,
     field_from_increments,
     replication_rng,
     sample_increments,
@@ -254,7 +255,7 @@ def test_point_samples_equal_qv_process_across_chunks():
     # chunk boundary the executor picks at this n, and at points on an axis
     f = weight("cosine")
     n, seed = 8, 61
-    size = _chunk_reps(n, "cholesky")
+    size = _chunk_reps([(n, n)])
     M = size + 44
     points = [(0.0, 0.4), (1.0, 1.0), (0.5, 0.75), (0.3, 1.0)]
     xs, _ = qv_point_samples(H, f, n, M, seed, points)[n]
@@ -273,9 +274,9 @@ def test_point_samples_equal_qv_process_across_chunks():
 
 
 def _set_chunk_reps(monkeypatch, n, reps):
-    """Set the budget so that the executor picks ``reps`` replications per chunk at n."""
-    monkeypatch.setattr(mcverify, "_CHUNK_BUDGET", reps * 3 * _rep_bytes(n, "cholesky"))
-    assert _chunk_reps(n, "cholesky") == reps
+    """Set the budget so that the executor picks ``reps`` replications per chunk at n (Cholesky)."""
+    monkeypatch.setattr(mcverify, "_CHUNK_BUDGET", reps * 3 * _rep_bytes([(n, n)]))
+    assert _chunk_reps([(n, n)]) == reps
 
 
 def _schedule_outputs(n, M, seed):
@@ -319,16 +320,35 @@ def test_one_replication_per_chunk_keeps_replication_order(monkeypatch):
     assert np.array_equal(got, want)
 
 
+def _factor_shapes(n, method, coarse=None):
+    """The (g, m) factor shapes of _node_chunks' grids: m = n for Cholesky, 2n for circulant."""
+    return [(g, g if method == "cholesky" else 2 * g) for g in ((n,) if coarse is None else (n, coarse))]
+
+
+@pytest.mark.parametrize("n,cholesky,two_grids,circulant", [
+    (4, 3840, 2864, 2841), (16, 311, 244, 213), (64, 20, 16, 14), (2048, 1, 1, 1),
+])
+def test_chunk_reps_table(n, cholesky, two_grids, circulant):
+    # Cholesky, Cholesky with coarse n // 2, circulant; the factor widths are factor_1d's
+    assert _chunk_reps(_factor_shapes(n, "cholesky")) == cholesky
+    assert _chunk_reps(_factor_shapes(n, "cholesky", n // 2)) == two_grids
+    assert _chunk_reps(_factor_shapes(n, "circulant")) == circulant
+    if n <= 64:
+        for method in ("cholesky", "circulant"):
+            assert [factor_1d(0.35, n, method).shape] == _factor_shapes(n, method)
+
+
 @pytest.mark.parametrize("method", ["cholesky", "circulant"])
 @pytest.mark.parametrize("n", [16, 64, 1024, 4096])
 def test_chunks_in_flight_fit_the_budget(method, n):
     # arithmetic only: the oversized fields are never drawn
-    size = _chunk_reps(n, method)
+    shapes = _factor_shapes(n, method)
+    size = _chunk_reps(shapes)
     assert size >= 1
-    assert 3 * size * _rep_bytes(n, method) <= mcverify._CHUNK_BUDGET or size == 1
-    assert 3 * (size + 1) * _rep_bytes(n, method) > mcverify._CHUNK_BUDGET
-    m = n if method == "cholesky" else 2 * n
-    assert _rep_bytes(n, method) >= 8 * (m * m + (n + 1) ** 2)  # at least the draws and the nodes
+    assert 3 * size * _rep_bytes(shapes) <= mcverify._CHUNK_BUDGET or size == 1
+    assert 3 * (size + 1) * _rep_bytes(shapes) > mcverify._CHUNK_BUDGET
+    m = shapes[0][1]
+    assert _rep_bytes(shapes) >= 8 * (m * m + (n + 1) ** 2)  # at least the draws and the nodes
 
 
 def test_worker_exception_propagates_and_threads_end(monkeypatch):
@@ -482,7 +502,7 @@ def test_reference_rows_are_the_sheets_of_replications_m_onward():
     # Z, also on both sides of the first chunk boundary the executor picks at n
     f = weight("cosine")
     n, seed = 8, 61
-    size = _chunk_reps(n, "cholesky")
+    size = _chunk_reps([(n, n)])
     M = size + 44
     points = [(0.0, 0.4), (1.0, 1.0), (0.5, 0.75)]
     corner = lambda nodes: nodes[:, -1, -1]
@@ -513,11 +533,16 @@ def test_qv_point_samples_sheet_functional():
         assert z[r] == pytest.approx(field.values[n, n], rel=1e-12)
 
 
+def _se(values, seed):
+    """bootstrap_se of one grid's columns ``values``."""
+    return bootstrap_se(lambda _: values, [0], len(values), values.dtype, seed)[0][1]
+
+
 def test_bootstrap_se_deterministic_and_calibrated():
     rng = np.random.default_rng(8)
     vals = rng.standard_normal((4000, 2))
-    se1 = bootstrap_se(vals, seed=9)
-    se2 = bootstrap_se(vals, seed=9)
+    se1 = _se(vals, seed=9)
+    se2 = _se(vals, seed=9)
     assert np.array_equal(se1, se2)
     analytic = vals.std(axis=0, ddof=1) / math.sqrt(vals.shape[0])
     assert np.all(se1 > 0.7 * analytic) and np.all(se1 < 1.4 * analytic)
@@ -526,7 +551,7 @@ def test_bootstrap_se_deterministic_and_calibrated():
 def test_bootstrap_se_complex_input():
     rng = np.random.default_rng(10)
     vals = rng.standard_normal((2000, 1)) + 1j * rng.standard_normal((2000, 1))
-    se = bootstrap_se(vals, seed=11)
+    se = _se(vals, seed=11)
     analytic = math.sqrt(2.0) / math.sqrt(2000)
     assert se[0] == pytest.approx(analytic, rel=0.4)
 
@@ -550,19 +575,33 @@ def _bootstrap_se_one_draw(weights, values):
 
 @pytest.mark.parametrize("resamples", [2, 200, 201])
 @pytest.mark.parametrize("M", [2, 3, 129, 1000, 5000, 5001])
-def test_bootstrap_se_equals_one_draw_of_the_weights(M, resamples):
-    # real and complex values of five shapes; the list form shares one set of weights
-    rng = np.random.default_rng(M + resamples)
+def test_bootstrap_se_equals_one_draw_of_the_weights(monkeypatch, M, resamples):
+    # real and complex columns on one and two grids, 36 and 1 columns wide, each
+    # built when its SE is taken; the complex builder is charfn's in-place
+    # transform, the oracle's its out-of-place one
+    monkeypatch.setattr(mcverify, "_BOOT_RESAMPLES", resamples)
     weights = _bootstrap_weights_one_draw(M, 17, resamples)
-    for cplx in (False, True):
-        arrays = []
-        for tail in [(), (1,), (6,), (36,), (2, 3)]:
-            v = rng.standard_normal((M, *tail))
-            arrays.append(v + 1j * rng.standard_normal((M, *tail)) if cplx else v)
-        want = [_bootstrap_se_one_draw(weights, v) for v in arrays]
-        got = bootstrap_se(arrays, 17, resamples)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert np.array_equal(bootstrap_se(arrays[2], 17, resamples), want[2])
+    lam = {8: lambda_product_grid(2), 4: lambda_product_grid(2)[:1]}
+    transforms = {
+        float: (lambda xs, lm: np.exp(-0.5 * xs**2 @ (lm**2).T),) * 2,
+        complex: (lambda xs, lm: np.exp(q := 1j * xs @ lm.T, out=q), lambda xs, lm: np.exp(1j * xs @ lm.T)),
+    }
+    rng = np.random.default_rng(M + resamples)
+    for dtype, (build, oracle) in transforms.items():
+        for sizes in ([8], [8, 4]):
+            xs = {g: rng.standard_normal((M, 2)) for g in sizes}
+            built = []
+
+            def columns(g):
+                built.append(g)
+                return build(xs[g], lam[g])
+
+            got = bootstrap_se(columns, sizes, M, dtype, 17)
+            assert list(got) == built == sizes
+            for g, (means, se) in got.items():
+                v = oracle(xs[g], lam[g])
+                assert np.array_equal(means, v.mean(axis=0))
+                assert np.array_equal(se, _bootstrap_se_one_draw(weights, v))
 
 
 def test_bootstrap_se_holds_only_the_weights():
@@ -572,35 +611,11 @@ def test_bootstrap_se_holds_only_the_weights():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        bootstrap_se(values, 3)
+        _se(values, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 200 * 5000 * 16 + (2 << 20)
-
-
-@pytest.mark.parametrize("M", [2, 129, 5000])
-@pytest.mark.parametrize("grids", [1, 2])
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_means_and_ses_of_built_grids_equal_those_of_grids_built_first(kind, grids, M):
-    # the oracle builds every grid's columns, then takes bootstrap_se of their list;
-    # the complex builder is charfn's in-place transform, the oracle's its out-of-place one
-    lam = lambda_product_grid(2)
-    if kind == "real":
-        dtype, build = float, lambda xs: np.exp(-0.5 * xs**2 @ (lam**2).T)
-        oracle = build
-    else:
-        dtype, build = complex, lambda xs: np.exp(q := 1j * xs @ lam.T, out=q)
-        oracle = lambda xs: np.exp(1j * xs @ lam.T)
-    rng = np.random.default_rng(M + grids)
-    xs = {g: rng.standard_normal((M, 2)) for g in (8, 4)[:grids]}
-    got = mcverify._means_and_ses(lambda g: build(xs[g]), xs, M, dtype, 17)
-    columns = {g: oracle(x) for g, x in xs.items()}
-    weights = _bootstrap_weights_one_draw(M, 17, 200)
-    assert list(got) == list(xs)
-    for (g, v), se in zip(columns.items(), bootstrap_se(list(columns.values()), 17)):
-        assert np.array_equal(se, _bootstrap_se_one_draw(weights, v))
-        assert np.array_equal(got[g][0], v.mean(axis=0)) and np.array_equal(got[g][1], se)
 
 
 def test_charfn_holds_one_grids_columns_beside_the_weights():

@@ -68,6 +68,7 @@ def test_traced_check_prints_the_untraced_bytes(argv, streams, reference):
     calls, _, _ = _traced_calls(argv)
     assert calls["fieldsim.streams"] == streams
     assert ("mcverify.reference" in calls) == reference
+    assert calls.get("mcverify.bootstrap", 0) == (2 if reference else 0)  # both SE steps, through the hook
 
 
 def test_traced_sigma_keeps_one_partial_span_per_cutoff():
