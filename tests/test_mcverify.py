@@ -576,32 +576,47 @@ def _bootstrap_se_one_draw(weights, values):
 @pytest.mark.parametrize("resamples", [2, 200, 201])
 @pytest.mark.parametrize("M", [2, 3, 129, 1000, 5000, 5001])
 def test_bootstrap_se_equals_one_draw_of_the_weights(monkeypatch, M, resamples):
-    # real and complex columns on one and two grids, 36 and 1 columns wide, each
-    # built when its SE is taken; the complex builder is charfn's in-place
-    # transform, the oracle's its out-of-place one
+    # real and complex columns of one grid, 1, 6 and 36 wide
     monkeypatch.setattr(mcverify, "_BOOT_RESAMPLES", resamples)
     weights = _bootstrap_weights_one_draw(M, 17, resamples)
-    lam = {8: lambda_product_grid(2), 4: lambda_product_grid(2)[:1]}
-    transforms = {
-        float: (lambda xs, lm: np.exp(-0.5 * xs**2 @ (lm**2).T),) * 2,
-        complex: (lambda xs, lm: np.exp(q := 1j * xs @ lm.T, out=q), lambda xs, lm: np.exp(1j * xs @ lm.T)),
-    }
     rng = np.random.default_rng(M + resamples)
-    for dtype, (build, oracle) in transforms.items():
-        for sizes in ([8], [8, 4]):
-            xs = {g: rng.standard_normal((M, 2)) for g in sizes}
-            built = []
+    for cplx in (False, True):
+        for width in (1, 6, 36):
+            v = rng.standard_normal((M, width))
+            if cplx:
+                v = v + 1j * rng.standard_normal((M, width))
+            assert np.array_equal(_se(v, 17), _bootstrap_se_one_draw(weights, v))
 
-            def columns(g):
-                built.append(g)
-                return build(xs[g], lam[g])
 
-            got = bootstrap_se(columns, sizes, M, dtype, 17)
-            assert list(got) == built == sizes
-            for g, (means, se) in got.items():
-                v = oracle(xs[g], lam[g])
-                assert np.array_equal(means, v.mean(axis=0))
-                assert np.array_equal(se, _bootstrap_se_one_draw(weights, v))
+@pytest.mark.parametrize("M", [2, 129, 5000])
+@pytest.mark.parametrize("grids", [1, 2])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_means_and_ses_of_built_grids_equal_those_of_grids_built_first(kind, grids, M):
+    # bootstrap_se builds each grid's columns when its SE is taken; the oracle builds
+    # every grid's columns first and resamples them with one draw of the weights. The
+    # complex builder is charfn's in-place transform, the oracle's its out-of-place one
+    lam = lambda_product_grid(2)
+    if kind == "real":
+        dtype, build = float, lambda xs: np.exp(-0.5 * xs**2 @ (lam**2).T)
+        oracle = build
+    else:
+        dtype, build = complex, lambda xs: np.exp(q := 1j * xs @ lam.T, out=q)
+        oracle = lambda xs: np.exp(1j * xs @ lam.T)
+    rng = np.random.default_rng(M + grids)
+    xs = {g: rng.standard_normal((M, 2)) for g in (8, 4)[:grids]}
+    built = []
+
+    def columns(g):
+        built.append(g)
+        return build(xs[g])
+
+    got = bootstrap_se(columns, list(xs), M, dtype, 17)
+    first = {g: oracle(x) for g, x in xs.items()}
+    weights = _bootstrap_weights_one_draw(M, 17, mcverify._BOOT_RESAMPLES)
+    assert list(got) == built == list(xs)
+    for g, v in first.items():
+        assert np.array_equal(got[g][0], v.mean(axis=0))
+        assert np.array_equal(got[g][1], _bootstrap_se_one_draw(weights, v))
 
 
 def test_bootstrap_se_holds_only_the_weights():
